@@ -136,8 +136,10 @@ fn main() {
     ];
     for (label, part) in strategies {
         let dg = DistGraph::with_partition(&g, part);
-        let r = cetric::core::run_on_default(dg, Algorithm::Ditric, &Algorithm::Ditric.config())
-            .unwrap();
+        let cfg = Algorithm::Ditric.config();
+        let r = cetric::core::run_count(dg, Algorithm::Ditric, &cfg, &Default::default(), None)
+            .unwrap()
+            .result;
         // work imbalance: busiest PE vs average
         let per_rank_work: Vec<u64> = (0..p)
             .map(|rk| {

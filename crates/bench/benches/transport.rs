@@ -8,7 +8,7 @@
 use std::time::Instant;
 
 use cetric::comm::{SimOptions, TransportKind};
-use cetric::core::dist::run_on;
+use cetric::core::dist::run_count;
 use cetric::prelude::*;
 use tricount_bench::report::{format_f64, BenchReport};
 use tricount_bench::{fmt_time, print_table, Row, Scale};
@@ -23,7 +23,9 @@ fn wall_of(g: &Csr, p: usize, opts: &SimOptions) -> (f64, f64, u64) {
     for _ in 0..REPS {
         let dg = DistGraph::new_balanced_vertices(g, p);
         let t0 = Instant::now();
-        let (r, _) = run_on(dg, Algorithm::Cetric, &cfg, opts).expect("count");
+        let r = run_count(dg, Algorithm::Cetric, &cfg, opts, None)
+            .expect("count")
+            .result;
         best = best.min(t0.elapsed().as_secs_f64());
         modeled = r.modeled_time(&CostModel::supermuc());
         triangles = r.triangles;

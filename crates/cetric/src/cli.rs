@@ -3,12 +3,14 @@
 //! from the shell. Argument parsing is hand-rolled (no dependency) and unit
 //! tested; the binary in `src/bin/tricount.rs` is a thin wrapper.
 
-use tricount_comm::{CostModel, Routing, TransportKind};
-use tricount_core::dist::{enumerate, lcc};
-use tricount_core::{count_with, seq, Aggregation, Algorithm, DistConfig};
+use std::sync::Mutex;
+
+use tricount_comm::{CostModel, Routing, SimOptions, TransportKind};
+use tricount_core::dist::{enumerate, lcc, run_count, CountRun};
+use tricount_core::{seq, Aggregation, Algorithm, CacheConfig, CacheReport, DistConfig, RankCache};
 use tricount_gen::{Dataset, Family};
 use tricount_graph::stats::{degree_histogram_log2, global_clustering_coefficient, GraphStats};
-use tricount_graph::{io, Csr};
+use tricount_graph::{io, Csr, DistGraph};
 
 /// Where the input graph comes from.
 #[derive(Debug, Clone, PartialEq)]
@@ -535,6 +537,27 @@ pub fn load_source(source: &Source) -> Result<Csr, String> {
     }
 }
 
+/// One empty adjacency cache per rank under `cfg.cache`.
+fn cache_cells(cfg: &DistConfig, p: usize) -> Vec<Mutex<RankCache>> {
+    (0..p)
+        .map(|_| Mutex::new(RankCache::new(cfg.cache, p, cfg.memory_limit_words)))
+        .collect()
+}
+
+fn print_cache_report(cache: &CacheReport) {
+    println!(
+        "adjacency cache: {} lookups ({} hits, {} misses) | \
+         {} words shipped, {} saved | {} staged, {} evicted",
+        cache.lookups,
+        cache.hits,
+        cache.misses,
+        cache.words_shipped,
+        cache.words_saved,
+        cache.staged,
+        cache.evictions,
+    );
+}
+
 /// Executes a parsed command, printing results to stdout.
 pub fn execute(cmd: Command) -> Result<(), String> {
     match cmd {
@@ -574,45 +597,21 @@ pub fn execute(cmd: Command) -> Result<(), String> {
                     println!("triangles: {} (sequential, {} ops)", s.triangles, s.ops);
                 }
                 Some(alg) => {
-                    let r = if let Some(budget) = cache_budget {
-                        use tricount_core::{CacheConfig, RankCache};
+                    let caches = cache_budget.map(|budget| {
                         config.cache = CacheConfig::with_budget(budget);
-                        let dg = tricount_graph::DistGraph::new_balanced_vertices(&g, p);
-                        let caches: Vec<std::sync::Mutex<RankCache>> = (0..p)
-                            .map(|_| {
-                                std::sync::Mutex::new(RankCache::new(
-                                    config.cache,
-                                    p,
-                                    config.memory_limit_words,
-                                ))
-                            })
-                            .collect();
-                        let opts = tricount_comm::SimOptions {
-                            timing: timed.then_some(model),
-                            ..tricount_comm::SimOptions::default()
-                        };
-                        let (r, _, cache) =
-                            tricount_core::run_on_cached(dg, alg, &config, &opts, &caches)
-                                .map_err(|e| e.to_string())?;
-                        println!(
-                            "adjacency cache: {} lookups ({} hits, {} misses) | \
-                             {} words shipped, {} saved | {} staged, {} evicted",
-                            cache.lookups,
-                            cache.hits,
-                            cache.misses,
-                            cache.words_shipped,
-                            cache.words_saved,
-                            cache.staged,
-                            cache.evictions,
-                        );
-                        r
-                    } else if timed {
-                        let dg = tricount_graph::DistGraph::new_balanced_vertices(&g, p);
-                        tricount_core::dist::run_on_timed(dg, alg, &config, model)
-                            .map_err(|e| e.to_string())?
-                    } else {
-                        count_with(&g, p, alg, &config).map_err(|e| e.to_string())?
+                        cache_cells(&config, p)
+                    });
+                    let dg = DistGraph::new_balanced_vertices(&g, p);
+                    let opts = SimOptions {
+                        timing: timed.then_some(model),
+                        ..SimOptions::default()
                     };
+                    let run = run_count(dg, alg, &config, &opts, caches.as_deref())
+                        .map_err(|e| e.to_string())?;
+                    if caches.is_some() {
+                        print_cache_report(&run.cache);
+                    }
+                    let r = run.result;
                     if timed {
                         println!("overlap-aware makespan: {:.3} ms", r.stats.makespan() * 1e3);
                     }
@@ -644,32 +643,15 @@ pub fn execute(cmd: Command) -> Result<(), String> {
                 transport,
                 ..DistConfig::default()
             };
-            let r = if let Some(budget) = cache_budget {
-                use tricount_core::{CacheConfig, RankCache};
+            let caches = cache_budget.map(|budget| {
                 cfg.cache = CacheConfig::with_budget(budget);
-                let caches: Vec<std::sync::Mutex<RankCache>> = (0..p)
-                    .map(|_| {
-                        std::sync::Mutex::new(RankCache::new(cfg.cache, p, cfg.memory_limit_words))
-                    })
-                    .collect();
-                let degrees = g.degrees();
-                let dg = tricount_graph::DistGraph::new_balanced_vertices(&g, p);
-                let (r, cache) = lcc::lcc_on_cached(dg, &cfg, &degrees, &caches);
-                println!(
-                    "adjacency cache: {} lookups ({} hits, {} misses) | \
-                     {} words shipped, {} saved | {} staged, {} evicted",
-                    cache.lookups,
-                    cache.hits,
-                    cache.misses,
-                    cache.words_shipped,
-                    cache.words_saved,
-                    cache.staged,
-                    cache.evictions,
-                );
-                r
-            } else {
-                lcc::lcc(&g, p, &cfg)
-            };
+                cache_cells(&cfg, p)
+            });
+            let dg = DistGraph::new_balanced_vertices(&g, p);
+            let (r, cache) = lcc::lcc_on(dg, &cfg, &g.degrees(), caches.as_deref());
+            if caches.is_some() {
+                print_cache_report(&cache);
+            }
             println!("triangles: {}", r.triangles);
             let mut by_degree: Vec<u64> = g.vertices().collect();
             by_degree.sort_by_key(|&v| std::cmp::Reverse(g.degree(v)));
@@ -833,13 +815,12 @@ pub fn execute(cmd: Command) -> Result<(), String> {
             metrics_out,
             calibration,
         } => {
-            use tricount_comm::SimOptions;
             let model = match resolve_calibration(calibration, &source) {
                 Some(path) => apply_calibration(model, &path)?,
                 None => model,
             };
             let g = load_source(&source)?;
-            let dg = tricount_graph::DistGraph::new_balanced_vertices(&g, p);
+            let dg = DistGraph::new_balanced_vertices(&g, p);
             // the threads backend has a wall clock worth measuring; the
             // simulator's schedule is a deterministic fiction
             let opts = SimOptions {
@@ -848,9 +829,13 @@ pub fn execute(cmd: Command) -> Result<(), String> {
                 wall_profile: config.transport == TransportKind::Threads,
                 ..SimOptions::default()
             };
-            let (r, trace, dispatch, wall) =
-                tricount_core::dist::run_on_profiled(dg, algorithm, &config, &opts)
-                    .map_err(|e| e.to_string())?;
+            let CountRun {
+                result: r,
+                trace,
+                dispatch,
+                wall,
+                ..
+            } = run_count(dg, algorithm, &config, &opts, None).map_err(|e| e.to_string())?;
             let trace = trace.ok_or("run recorded no trace (trace feature missing?)")?;
             let timeline = wall.as_ref().map(tricount_obs::WallTimeline::build);
             println!("triangles: {}", r.triangles);
@@ -1507,6 +1492,21 @@ mod tests {
             _ => panic!("wrong command"),
         }
         assert!(parse(&args("count --family gnm --cache-budget lots")).is_err());
+    }
+
+    #[test]
+    fn execute_timed_count_with_and_without_cache() {
+        for flags in ["", " --cache-budget 65536"] {
+            let cmd = parse(&args(&format!(
+                "count --family rgg2d --n 256 --p 4 --alg cetric --timed true{flags}"
+            )))
+            .unwrap();
+            match &cmd {
+                Command::Count { timed, .. } => assert!(*timed, "{flags}"),
+                _ => panic!("wrong command"),
+            }
+            execute(cmd).unwrap();
+        }
     }
 
     #[test]

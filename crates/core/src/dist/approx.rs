@@ -13,9 +13,9 @@ use tricount_graph::dist::{DistGraph, LocalGraph};
 use tricount_graph::intersect::merge_count;
 
 use crate::config::DistConfig;
-use crate::dist::into_cells;
 use crate::dist::phases;
 use crate::dist::residency::{prepare_rank, PreparedRank};
+use crate::dist::{into_cells, take_local};
 use crate::result::ApproxResult;
 
 /// Which AMQ to ship in the global phase.
@@ -221,11 +221,7 @@ pub fn approx_on(dg: DistGraph, cfg: &DistConfig, acfg: &ApproxConfig) -> Approx
     let p = dg.num_ranks();
     let cells = into_cells(dg);
     let out = run_sim(p, &SimOptions::on(cfg.transport), |ctx| {
-        let lg = cells[ctx.rank()]
-            .lock()
-            .unwrap()
-            .take()
-            .expect("local graph already taken");
+        let lg = take_local(&cells, ctx.rank());
         run_rank(ctx, lg, cfg, acfg)
     });
     let exact_local: u64 = out.output.results.iter().map(|r| r.exact_local).sum();

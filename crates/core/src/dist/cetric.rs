@@ -11,9 +11,10 @@
 //!   instead of the full input.
 //!
 //! The setup (ghost exchange + orientation + contraction) is factored into
-//! [`crate::dist::residency::prepare_rank`] so the one-shot path here and
-//! the resident query engine share it; [`count_prepared`] is the pure
-//! counting part, reusable against long-lived [`PreparedRank`] state.
+//! [`crate::dist::residency::prepare_rank`] so the one-shot path
+//! ([`crate::dist::count_rank`]) and the resident query engine share it;
+//! [`count_prepared`] is the pure counting part, reusable against
+//! long-lived [`PreparedRank`] state.
 //!
 //! Intersections go through the adaptive kernel [`Dispatcher`] configured
 //! by `cfg.kernels`, and the local phase optionally runs degree-aware
@@ -23,7 +24,7 @@
 
 use tricount_cache::{CacheSession, ListKind};
 use tricount_comm::{Ctx, Envelope, MessageQueue, QueueConfig};
-use tricount_graph::dist::{ContractedGraph, LocalGraph, OrientedLocalGraph};
+use tricount_graph::dist::{ContractedGraph, OrientedLocalGraph};
 use tricount_graph::kernels::{balanced_chunks, Dispatcher, KernelCounters};
 use tricount_graph::Partition;
 use tricount_graph::VertexId;
@@ -32,31 +33,7 @@ use tricount_par::Pool;
 use crate::config::DistConfig;
 use crate::dist::dispatch::DispatchReport;
 use crate::dist::phases;
-use crate::dist::residency::{prepare_rank, PreparedRank};
-
-/// Runs CETRIC on this rank; returns the global triangle count.
-pub fn run_rank(ctx: &mut Ctx, lg: LocalGraph, cfg: &DistConfig) -> u64 {
-    let prep = prepare_rank(ctx, lg, cfg);
-    count_prepared(ctx, &prep, cfg)
-}
-
-/// [`run_rank`] plus this rank's per-phase kernel-dispatch tallies.
-pub fn run_rank_stats(ctx: &mut Ctx, lg: LocalGraph, cfg: &DistConfig) -> (u64, DispatchReport) {
-    let prep = prepare_rank(ctx, lg, cfg);
-    count_prepared_stats(ctx, &prep, cfg)
-}
-
-/// [`run_rank_stats`] with a live adjacency-cache session (one-shot prepare
-/// followed by [`count_prepared_cached`]).
-pub fn run_rank_cached(
-    ctx: &mut Ctx,
-    lg: LocalGraph,
-    cfg: &DistConfig,
-    session: &mut CacheSession<'_>,
-) -> (u64, DispatchReport) {
-    let prep = prepare_rank(ctx, lg, cfg);
-    count_prepared_cached(ctx, &prep, cfg, session)
-}
+use crate::dist::residency::PreparedRank;
 
 /// The local phase's canonical work list: owned vertices in id order, then
 /// ghosts in ghost-index order. Item `i` resolves to `(v, A(v))`.
@@ -149,23 +126,6 @@ fn local_phase(ctx: &mut Ctx, prep: &PreparedRank, cfg: &DistConfig) -> (u64, Ke
     }
 }
 
-/// CETRIC's counting phases on already prepared per-rank state (local phase
-/// on the expanded graph, global phase on the contracted cut graph, final
-/// all-reduce). No setup communication happens here — the resident engine
-/// calls this directly against state kept alive across queries.
-pub fn count_prepared(ctx: &mut Ctx, prep: &PreparedRank, cfg: &DistConfig) -> u64 {
-    count_prepared_stats(ctx, prep, cfg).0
-}
-
-/// [`count_prepared`] plus this rank's per-phase kernel-dispatch tallies.
-pub fn count_prepared_stats(
-    ctx: &mut Ctx,
-    prep: &PreparedRank,
-    cfg: &DistConfig,
-) -> (u64, DispatchReport) {
-    count_prepared_cached(ctx, prep, cfg, &mut CacheSession::off())
-}
-
 /// Receive side of the global phase. Wire formats:
 ///
 /// * session inactive — `[v, A(v)...]` (the original format, bit-identical
@@ -209,11 +169,17 @@ fn global_handler(
     }
 }
 
-/// [`count_prepared_stats`] with a live adjacency-cache session: the owner
-/// consults its mirror before posting a contracted list and sends a
-/// two-word reference on a hit. With an off session this *is* the original
-/// protocol, wire format and meters included.
-pub fn count_prepared_cached(
+/// CETRIC's counting phases on already prepared per-rank state (local phase
+/// on the expanded graph, global phase on the contracted cut graph, final
+/// all-reduce); returns the global triangle count plus this rank's
+/// per-phase kernel-dispatch tallies. No setup communication happens here —
+/// the one-shot path ([`crate::dist::count_rank`]) prepares first, the
+/// resident engine calls this directly against state kept alive across
+/// queries. With a live `session` the owner consults its mirror before
+/// posting a contracted list and sends a two-word reference on a hit; with
+/// [`CacheSession::off`] this *is* the original protocol, wire format and
+/// meters included.
+pub fn count_prepared(
     ctx: &mut Ctx,
     prep: &PreparedRank,
     cfg: &DistConfig,

@@ -53,10 +53,11 @@ use tricount_comm::{
 };
 use tricount_delta::{CanonicalBatch, CanonicalOp, Overlay};
 use tricount_graph::dist::LocalGraph;
-use tricount_graph::kernels::{Dispatcher, KernelCounters};
+use tricount_graph::kernels::Dispatcher;
 use tricount_graph::VertexId;
 
 use crate::config::DistConfig;
+use crate::dist::dispatch::DispatchReport;
 use crate::dist::phases;
 use crate::dist::residency::PreparedRank;
 
@@ -84,44 +85,34 @@ pub struct DeltaOutcome {
     pub overlay_entries: u64,
     /// Base adjacency entries on this rank (the compaction denominator).
     pub base_entries: u64,
-    /// Kernel-dispatch tallies of this rank's counting passes (deletions +
-    /// insertions), rank-local.
-    pub kernels: KernelCounters,
 }
 
 /// Applies one canonical batch on this rank: routes, filters, counts the
 /// triangle delta, mutates the overlay, refreshes touched ghost degrees.
 /// Collective — every rank must call it with the same `batch` and `cfg`.
+/// Returns the outcome plus the kernel-dispatch tallies of this rank's
+/// counting passes (deletions + insertions) under
+/// [`phases::UPDATE_COUNT`].
+///
+/// `session` is the adjacency cache's single *writer*: after the
+/// effectiveness filter of `update_route`, each owner looks its touched
+/// vertices up in its mirror partitions and sends every holder of a
+/// `(Full, v)` entry either a targeted invalidation or an in-place patch
+/// (the inserted/deleted neighbor ids) through one extra `alltoallv` inside
+/// the `update_route` phase — a patched entry equals the post-state merged
+/// list, so later reference sends stay bit-exact. The deletion count pass
+/// streams *pre-state* lists, so it runs with lookups and staging disabled
+/// ([`CachePass::Pre`]); the insertion pass runs post-state and
+/// participates fully. With [`CacheSession::off`] this *is* the original
+/// protocol — no extra collective, identical meters.
 pub fn apply_batch_rank(
     ctx: &mut Ctx,
     lg: &LocalGraph,
     ov: &mut Overlay,
     batch: &CanonicalBatch,
     cfg: &DistConfig,
-) -> DeltaOutcome {
-    apply_batch_rank_cached(ctx, lg, ov, batch, cfg, &mut CacheSession::off())
-}
-
-/// [`apply_batch_rank`] with a live adjacency-cache session. The update
-/// protocol is the cache's single *writer*: after the effectiveness filter
-/// of `update_route`, each owner looks its touched vertices up in its
-/// mirror partitions and sends every holder of a `(Full, v)` entry either a
-/// targeted invalidation or an in-place patch (the inserted/deleted
-/// neighbor ids) through one extra `alltoallv` inside the `update_route`
-/// phase — a patched entry equals the post-state merged list, so later
-/// reference sends stay bit-exact. The deletion count pass streams
-/// *pre-state* lists, so it runs with lookups and staging disabled
-/// ([`CachePass::Pre`]); the insertion pass runs post-state and
-/// participates fully. With an off session this *is* the original
-/// protocol — no extra collective, identical meters.
-pub fn apply_batch_rank_cached(
-    ctx: &mut Ctx,
-    lg: &LocalGraph,
-    ov: &mut Overlay,
-    batch: &CanonicalBatch,
-    cfg: &DistConfig,
     session: &mut CacheSession<'_>,
-) -> DeltaOutcome {
+) -> (DeltaOutcome, DispatchReport) {
     let p = ctx.num_ranks();
     let part = lg.partition().clone();
 
@@ -324,7 +315,7 @@ pub fn apply_batch_rank_cached(
     }
     ctx.end_phase(phases::UPDATE_GHOST_REFRESH);
 
-    DeltaOutcome {
+    let outcome = DeltaOutcome {
         triangles_removed: global[0],
         triangles_added: global[1],
         deleted: global[2],
@@ -333,8 +324,11 @@ pub fn apply_batch_rank_cached(
         tail_effective,
         overlay_entries: ov.entries(),
         base_entries: lg.num_local_entries(),
-        kernels: disp.counters(),
-    }
+    };
+    (
+        outcome,
+        DispatchReport::of(phases::UPDATE_COUNT, disp.counters()),
+    )
 }
 
 /// One counting pass (deletion or insertion): for every batch edge
@@ -559,7 +553,8 @@ pub fn apply_batch_sim(
     assert_eq!(ranks.len(), overlays.len());
     let sim = run_sim(ranks.len(), opts, |ctx: &mut Ctx| {
         let mut ov = overlays[ctx.rank()].lock().unwrap();
-        apply_batch_rank(ctx, &ranks[ctx.rank()].local, &mut ov, batch, cfg)
+        let lg = &ranks[ctx.rank()].local;
+        apply_batch_rank(ctx, lg, &mut ov, batch, cfg, &mut CacheSession::off()).0
     });
     (sim.output.results, sim.output.stats, sim.trace)
 }
@@ -585,7 +580,7 @@ mod tests {
         let cfg = *cfg;
         let sim = run_sim(ranks.len(), &SimOptions::default(), move |ctx: &mut Ctx| {
             let prep = prepared[ctx.rank()].lock().unwrap().take().unwrap();
-            cetric::count_prepared(ctx, &prep, &cfg)
+            cetric::count_prepared(ctx, &prep, &cfg, &mut CacheSession::off()).0
         });
         sim.output.results[0]
     }

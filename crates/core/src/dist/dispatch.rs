@@ -1,14 +1,14 @@
-//! Per-phase kernel-dispatch reporting for the `_stats` counting variants.
+//! Per-phase kernel-dispatch reporting for the rank programs.
 //!
 //! The adaptive kernel layer (`tricount_graph::kernels`) tallies which
 //! intersection kernel served each call site. Those tallies are *not* part
 //! of the communication [`Counters`](tricount_comm::Counters) — they change
 //! with the [`KernelPolicy`](tricount_graph::kernels::KernelPolicy) while
-//! comm counters must not — so the counting paths expose them through
-//! `_stats` twins (`count_prepared_stats`, `lcc_prepared_stats`,
-//! `run_rank_stats`, `edge_support_rank_stats`) returning a
-//! [`DispatchReport`] per rank, folded here in canonical (phase, rank)
-//! order so every aggregate is schedule-independent.
+//! comm counters must not — so every rank program (`count_rank`,
+//! `count_prepared`, `lcc_prepared`, `edge_support_rank`,
+//! `apply_batch_rank`) returns a [`DispatchReport`] next to its value,
+//! folded here in canonical (phase, rank) order so every aggregate is
+//! schedule-independent.
 
 use tricount_graph::kernels::KernelCounters;
 

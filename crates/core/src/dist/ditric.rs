@@ -27,12 +27,6 @@ use crate::dist::dispatch::DispatchReport;
 use crate::dist::phases;
 use crate::dist::preprocess;
 
-/// Runs DITRIC on this rank; returns the *global* triangle count (identical
-/// on every rank after the final reduction).
-pub fn run_rank(ctx: &mut Ctx, lg: LocalGraph, cfg: &DistConfig) -> u64 {
-    run_rank_stats(ctx, lg, cfg).0
-}
-
 /// One owned vertex's local-pass work: intersect `A(v)` with `A(u)` for
 /// every locally-owned head `u ∈ A(v)`. Shared by the sequential and
 /// chunked drivers.
@@ -49,11 +43,6 @@ fn count_local_vertex(o: &OrientedLocalGraph, v: VertexId, d: &mut Dispatcher<'_
         }
     }
     (count, work)
-}
-
-/// [`run_rank`] plus this rank's per-phase kernel-dispatch tallies.
-pub fn run_rank_stats(ctx: &mut Ctx, lg: LocalGraph, cfg: &DistConfig) -> (u64, DispatchReport) {
-    run_rank_cached(ctx, lg, cfg, &mut CacheSession::off())
 }
 
 /// Receive side of the global pass. Wire formats:
@@ -110,10 +99,12 @@ fn global_handler(
     }
 }
 
-/// [`run_rank_stats`] with a live adjacency-cache session over the oriented
-/// lists the global pass ships. With an off session this *is* the original
-/// protocol, wire format and meters included.
-pub fn run_rank_cached(
+/// Runs DITRIC on this rank; returns the *global* triangle count (identical
+/// on every rank after the final reduction) plus this rank's per-phase
+/// kernel-dispatch tallies. `session` caches the oriented lists the global
+/// pass ships; with [`CacheSession::off`] this *is* the original protocol,
+/// wire format and meters included.
+pub fn run_rank(
     ctx: &mut Ctx,
     mut lg: LocalGraph,
     cfg: &DistConfig,

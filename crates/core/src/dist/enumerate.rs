@@ -11,7 +11,7 @@ use tricount_graph::VertexId;
 
 use crate::config::DistConfig;
 use crate::dist::phases;
-use crate::dist::{into_cells, preprocess};
+use crate::dist::{into_cells, preprocess, take_local};
 
 /// A triangle as an id-sorted triple.
 pub type Triangle = (VertexId, VertexId, VertexId);
@@ -116,11 +116,7 @@ pub fn enumerate_on(dg: DistGraph, cfg: &DistConfig) -> Vec<Triangle> {
     let p = dg.num_ranks();
     let cells = into_cells(dg);
     let out = run_sim(p, &SimOptions::on(cfg.transport), |ctx| {
-        let lg = cells[ctx.rank()]
-            .lock()
-            .unwrap()
-            .take()
-            .expect("local graph already taken");
+        let lg = take_local(&cells, ctx.rank());
         run_rank(ctx, lg, cfg)
     });
     let mut all: Vec<Triangle> = out.output.results.into_iter().flatten().collect();

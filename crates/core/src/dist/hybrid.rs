@@ -20,7 +20,7 @@ use tricount_par::Pool;
 
 use crate::config::DistConfig;
 use crate::dist::phases;
-use crate::dist::{into_cells, preprocess};
+use crate::dist::{into_cells, preprocess, take_local};
 use crate::result::CountResult;
 
 /// Edge chunk size per task (small enough for stealing to balance hubs).
@@ -135,11 +135,7 @@ pub fn count_hybrid(
     let dg = DistGraph::new_balanced_vertices(g, p);
     let cells = into_cells(dg);
     let out = run_sim(p, &SimOptions::on(cfg.transport), |ctx| {
-        let lg = cells[ctx.rank()]
-            .lock()
-            .unwrap()
-            .take()
-            .expect("local graph already taken");
+        let lg = take_local(&cells, ctx.rank());
         run_rank(ctx, lg, cfg, threads)
     });
     CountResult {

@@ -16,18 +16,20 @@
 //! accumulating its own `Δ` vectors which are summed element-wise in
 //! canonical chunk order (u64 addition — bit-identical to sequential).
 
-use tricount_cache::{CacheSession, ListKind};
+use std::sync::Mutex;
+
+use tricount_cache::{CacheReport, CacheSession, ListKind, RankCache};
 use tricount_comm::{run_sim, Ctx, Envelope, MessageQueue, QueueConfig, SimOptions};
-use tricount_graph::dist::{DistGraph, LocalGraph, OrientedLocalGraph};
+use tricount_graph::dist::{DistGraph, OrientedLocalGraph};
 use tricount_graph::kernels::{balanced_chunks, Dispatcher, KernelCounters};
 use tricount_graph::VertexId;
 use tricount_par::Pool;
 
 use crate::config::DistConfig;
 use crate::dist::dispatch::DispatchReport;
-use crate::dist::into_cells;
 use crate::dist::phases;
 use crate::dist::residency::{prepare_rank, PreparedRank};
+use crate::dist::{into_cells, take_local, with_session};
 use crate::result::LccResult;
 
 /// Per-rank Δ accumulator over owned and ghost vertices.
@@ -72,13 +74,6 @@ impl DeltaAcc {
     }
 }
 
-/// Runs the CETRIC-based per-vertex count on this rank. Returns this PE's
-/// owned `Δ` values.
-fn run_rank(ctx: &mut Ctx, lg: LocalGraph, cfg: &DistConfig) -> Vec<u64> {
-    let prep = prepare_rank(ctx, lg, cfg);
-    lcc_prepared(ctx, &prep, cfg)
-}
-
 /// One local-phase item: enumerate the triangles closing each directed edge
 /// out of `v` and bump all three corners. Returns the metered work. Shared
 /// by the sequential and chunked drivers.
@@ -109,25 +104,12 @@ fn lcc_local_item(
 /// The per-vertex counting phases on already prepared per-rank state:
 /// local and global triangle enumeration bumping all three corners, then
 /// the ghost-Δ aggregation postprocessing. Returns this PE's owned `Δ`
-/// values; no setup communication happens here.
-pub fn lcc_prepared(ctx: &mut Ctx, prep: &PreparedRank, cfg: &DistConfig) -> Vec<u64> {
-    lcc_prepared_stats(ctx, prep, cfg).0
-}
-
-/// [`lcc_prepared`] plus this rank's per-phase kernel-dispatch tallies.
-pub fn lcc_prepared_stats(
-    ctx: &mut Ctx,
-    prep: &PreparedRank,
-    cfg: &DistConfig,
-) -> (Vec<u64>, DispatchReport) {
-    lcc_prepared_cached(ctx, prep, cfg, &mut CacheSession::off())
-}
-
-/// [`lcc_prepared_stats`] with a live adjacency-cache session. The global
-/// phase ships the same contracted lists as CETRIC's, so LCC and count
-/// queries share [`ListKind::Contracted`] cache entries. With an off
-/// session this *is* the original protocol.
-pub fn lcc_prepared_cached(
+/// values plus its per-phase kernel-dispatch tallies; no setup
+/// communication happens here. The global phase ships the same contracted
+/// lists as CETRIC's, so LCC and count queries share
+/// [`ListKind::Contracted`] entries of a live `session`; with
+/// [`CacheSession::off`] this *is* the original protocol.
+pub fn lcc_prepared(
     ctx: &mut Ctx,
     prep: &PreparedRank,
     cfg: &DistConfig,
@@ -339,62 +321,31 @@ pub fn normalize_lcc(per_vertex: &[u64], degrees: &[u64]) -> Vec<f64> {
 
 /// Runs the distributed per-vertex count / LCC computation on a partitioned
 /// graph. `degrees` must be the global degree vector (used only for the
-/// final LCC normalisation).
-pub fn lcc_on(dg: DistGraph, cfg: &DistConfig, degrees: &[u64]) -> LccResult {
-    let p = dg.num_ranks();
-    let cells = into_cells(dg);
-    let out = run_sim(p, &SimOptions::on(cfg.transport), |ctx| {
-        let lg = cells[ctx.rank()]
-            .lock()
-            .unwrap()
-            .take()
-            .expect("local graph already taken");
-        run_rank(ctx, lg, cfg)
-    });
-    let mut per_vertex = Vec::with_capacity(degrees.len());
-    for owned in out.output.results {
-        per_vertex.extend(owned);
-    }
-    assert_eq!(per_vertex.len(), degrees.len());
-    let triangles = per_vertex.iter().sum::<u64>() / 3;
-    let lcc = normalize_lcc(&per_vertex, degrees);
-    LccResult {
-        triangles,
-        per_vertex,
-        lcc,
-        stats: out.output.stats,
-    }
-}
-
-/// [`lcc_on`] against live adjacency-cache cells, one per rank: warm cells
-/// resolve contracted lists from the cache instead of re-shipping them, and
-/// staged entries survive into the next run over the same cells. The
-/// per-vertex counts are bit-identical to the uncached driver; the folded
-/// [`tricount_cache::CacheReport`] is returned alongside.
-pub fn lcc_on_cached(
+/// final LCC normalisation). With `caches` (one cell per rank) each rank
+/// opens a write session over its cell: warm cells resolve contracted lists
+/// instead of re-shipping them, and staged entries survive into the next
+/// run over the same cells. The per-vertex counts are bit-identical either
+/// way; the folded [`CacheReport`] rides along (empty without caches).
+pub fn lcc_on(
     dg: DistGraph,
     cfg: &DistConfig,
     degrees: &[u64],
-    caches: &[std::sync::Mutex<tricount_cache::RankCache>],
-) -> (LccResult, tricount_cache::CacheReport) {
+    caches: Option<&[Mutex<RankCache>]>,
+) -> (LccResult, CacheReport) {
     let p = dg.num_ranks();
-    assert_eq!(caches.len(), p, "one cache cell per rank");
+    if let Some(cells) = caches {
+        assert_eq!(cells.len(), p, "one cache cell per rank");
+    }
     let cells = into_cells(dg);
     let out = run_sim(p, &SimOptions::on(cfg.transport), |ctx| {
-        let lg = cells[ctx.rank()]
-            .lock()
-            .unwrap()
-            .take()
-            .expect("local graph already taken");
-        let mut cache = caches[ctx.rank()].lock().expect("cache cell");
-        let generation = cache.generation();
-        let mut session = CacheSession::write(&mut cache, generation);
-        let prep = prepare_rank(ctx, lg, cfg);
-        let (owned, _) = lcc_prepared_cached(ctx, &prep, cfg, &mut session);
-        (owned, session.finish().report)
+        let lg = take_local(&cells, ctx.rank());
+        with_session(caches, ctx.rank(), |session| {
+            let prep = prepare_rank(ctx, lg, cfg);
+            lcc_prepared(ctx, &prep, cfg, session).0
+        })
     });
     let mut per_vertex = Vec::with_capacity(degrees.len());
-    let mut report = tricount_cache::CacheReport::default();
+    let mut report = CacheReport::default();
     for (owned, r) in out.output.results {
         per_vertex.extend(owned);
         report.absorb(&r);
@@ -417,5 +368,5 @@ pub fn lcc_on_cached(
 /// counts and LCCs.
 pub fn lcc(g: &tricount_graph::Csr, p: usize, cfg: &DistConfig) -> LccResult {
     let degrees = g.degrees();
-    lcc_on(DistGraph::new_balanced_vertices(g, p), cfg, &degrees)
+    lcc_on(DistGraph::new_balanced_vertices(g, p), cfg, &degrees, None).0
 }

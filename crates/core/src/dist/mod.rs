@@ -19,15 +19,17 @@ pub mod support;
 #[cfg(test)]
 mod tests;
 
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 
+use tricount_cache::{CacheReport, CacheSession, RankCache};
 use tricount_comm::{
-    run_guarded, run_sim, Ctx, MessageQueue, QueueConfig, SimOptions, Trace, TransportKind,
+    run_sim, Ctx, MessageQueue, QueueConfig, SimOptions, Trace, TransportKind, WallProfile,
 };
 use tricount_graph::dist::{DistGraph, LocalGraph};
 use tricount_graph::OrderingKind;
 
 use crate::config::{Algorithm, DegreeExchange, DistConfig};
+use crate::dist::dispatch::DispatchReport;
 use crate::result::{CountResult, DistError};
 
 /// The ghost degree exchange of Algorithm 3 line 1 (`exchange_ghost_degree`):
@@ -137,6 +139,41 @@ pub(crate) fn into_cells(dg: DistGraph) -> Vec<Mutex<Option<LocalGraph>>> {
         .collect()
 }
 
+/// Takes `rank`'s local graph out of its cell (once per run).
+pub(crate) fn take_local(cells: &[Mutex<Option<LocalGraph>>], rank: usize) -> LocalGraph {
+    cells[rank]
+        .lock()
+        .expect("local-graph cell poisoned by a panicked rank")
+        .take()
+        .expect("local graph already taken")
+}
+
+/// Runs `f` under `rank`'s adjacency-cache session — a write session over
+/// `caches[rank]` (exclusive writer: entries admitted this run become
+/// visible to the *next* run over the same cells), or
+/// [`CacheSession::off`] without cells — and returns `f`'s value plus the
+/// session's report.
+pub(crate) fn with_session<T>(
+    caches: Option<&[Mutex<RankCache>]>,
+    rank: usize,
+    f: impl FnOnce(&mut CacheSession<'_>) -> T,
+) -> (T, CacheReport) {
+    let mut cell = caches.map(|c| {
+        c[rank]
+            .lock()
+            .expect("cache cell poisoned by a panicked rank")
+    });
+    let mut session = match cell.as_deref_mut() {
+        Some(cache) => {
+            let generation = cache.generation();
+            CacheSession::write(cache, generation)
+        }
+        None => CacheSession::off(),
+    };
+    let out = f(&mut session);
+    (out, session.finish().report)
+}
+
 /// Resolves the options a run actually executes under: an explicitly
 /// non-default `opts.transport` wins; otherwise [`DistConfig::transport`]
 /// selects the backend. (Requesting the default `Sim` through `opts` and
@@ -150,311 +187,135 @@ fn resolve_opts(cfg: &DistConfig, opts: &SimOptions) -> SimOptions {
     opts
 }
 
+/// One rank's one-shot count: runs `alg`'s rank program on `lg` and
+/// returns the *global* triangle count (identical on every rank) plus this
+/// rank's per-phase kernel-dispatch tallies. The edge-iterator variants
+/// ship adjacency through `session`; the baselines have no cached protocol
+/// and report empty tallies (they intersect without the dispatcher).
+pub fn count_rank(
+    ctx: &mut Ctx,
+    lg: LocalGraph,
+    alg: Algorithm,
+    cfg: &DistConfig,
+    session: &mut CacheSession<'_>,
+) -> Result<(u64, DispatchReport), DistError> {
+    match alg {
+        Algorithm::Unaggregated | Algorithm::Ditric | Algorithm::Ditric2 => {
+            Ok(ditric::run_rank(ctx, lg, cfg, session))
+        }
+        Algorithm::Cetric | Algorithm::Cetric2 => {
+            let prep = residency::prepare_rank(ctx, lg, cfg);
+            Ok(cetric::count_prepared(ctx, &prep, cfg, session))
+        }
+        Algorithm::TricLike => {
+            baselines::tric_like_rank(ctx, lg, cfg).map(|c| (c, DispatchReport::new()))
+        }
+        Algorithm::HavoqgtLike => Ok((
+            baselines::havoqgt_like_rank(ctx, lg, cfg),
+            DispatchReport::new(),
+        )),
+    }
+}
+
+/// Everything one distributed count reports.
+#[derive(Debug)]
+pub struct CountRun {
+    /// The global count with full per-phase, per-rank statistics.
+    pub result: CountResult,
+    /// The recorded trace, when [`SimOptions::record_trace`] asked for one
+    /// (requires `tricount-comm`'s `trace` feature).
+    pub trace: Option<Trace>,
+    /// Kernel-dispatch tallies of every rank, folded in rank order.
+    pub dispatch: DispatchReport,
+    /// The drained wall-clock profile of a [`SimOptions::wall_profile`]
+    /// run on the threads backend (`None` otherwise).
+    pub wall: Option<WallProfile>,
+    /// Adjacency-cache reports of every rank, folded (empty without
+    /// cache cells).
+    pub cache: CacheReport,
+}
+
 /// Runs `alg` on an already partitioned graph under explicit
-/// [`SimOptions`] (transport backend, timing, trace recording, schedule
-/// perturbation) and returns the global triangle count with full
-/// statistics, alongside the recorded trace if one was requested (requires
-/// `tricount-comm`'s `trace` feature to be non-`None`). This is the entry
-/// point of the CLI drivers and the `tricount-verify` conformance,
-/// determinism and transport-equivalence harnesses.
-///
-/// (Previously `run_on_sim`; renamed when the runtime grew a real parallel
-/// backend — the run is only a simulation on [`TransportKind::Sim`].)
+/// [`SimOptions`] — transport backend, simulated clock, trace recording,
+/// schedule perturbation, wall profile — and returns the global count with
+/// everything the run measured. With `caches` (exactly one cell per rank of
+/// `dg`) every rank counts under a write session over its cell, so repeated
+/// counts on a warm graph turn shipped adjacency lists into two-word
+/// references; without, the protocol is the uncached one. This is the one
+/// graph-level count driver: the CLI, the conformance, determinism and
+/// transport-equivalence harnesses, the examples and the benches all run
+/// through it.
+pub fn run_count(
+    dg: DistGraph,
+    alg: Algorithm,
+    cfg: &DistConfig,
+    opts: &SimOptions,
+    caches: Option<&[Mutex<RankCache>]>,
+) -> Result<CountRun, DistError> {
+    let opts = resolve_opts(cfg, opts);
+    let p = dg.num_ranks();
+    if let Some(cells) = caches {
+        assert_eq!(cells.len(), p, "one cache cell per rank");
+    }
+    let cells = into_cells(dg);
+    let sim = run_sim(p, &opts, |ctx: &mut Ctx| {
+        let lg = take_local(&cells, ctx.rank());
+        let (counted, cache) = with_session(caches, ctx.rank(), |session| {
+            count_rank(ctx, lg, alg, cfg, session)
+        });
+        counted.map(|(c, d)| (c, d, cache))
+    });
+    let mut triangles = 0u64;
+    let mut dispatch = DispatchReport::new();
+    let mut cache = CacheReport::default();
+    for (i, r) in sim.output.results.into_iter().enumerate() {
+        let (c, d, cr) = r?;
+        if i == 0 {
+            triangles = c;
+        }
+        dispatch.absorb(&d);
+        cache.absorb(&cr);
+    }
+    Ok(CountRun {
+        result: CountResult {
+            triangles,
+            stats: sim.output.stats,
+        },
+        trace: sim.trace,
+        dispatch,
+        wall: sim.wall,
+        cache,
+    })
+}
+
+/// [`run_count`] without cache cells, projected to the count and trace.
+/// It and [`run_on_stats`] keep their signatures for the `perfbench/`
+/// harness, which compiles against them; everything else calls
+/// [`run_count`].
 pub fn run_on(
     dg: DistGraph,
     alg: Algorithm,
     cfg: &DistConfig,
     opts: &SimOptions,
 ) -> Result<(CountResult, Option<Trace>), DistError> {
-    let opts = resolve_opts(cfg, opts);
-    let p = dg.num_ranks();
-    let cells = into_cells(dg);
-    let body = |ctx: &mut Ctx| {
-        let lg = cells[ctx.rank()]
-            .lock()
-            .unwrap()
-            .take()
-            .expect("local graph already taken");
-        match alg {
-            Algorithm::Unaggregated | Algorithm::Ditric | Algorithm::Ditric2 => {
-                Ok(ditric::run_rank(ctx, lg, cfg))
-            }
-            Algorithm::Cetric | Algorithm::Cetric2 => Ok(cetric::run_rank(ctx, lg, cfg)),
-            Algorithm::TricLike => baselines::tric_like_rank(ctx, lg, cfg),
-            Algorithm::HavoqgtLike => Ok(baselines::havoqgt_like_rank(ctx, lg, cfg)),
-        }
-    };
-    let sim = run_sim(p, &opts, body);
-    let triangles = sim.output.results.into_iter().next().unwrap()?;
-    Ok((
-        CountResult {
-            triangles,
-            stats: sim.output.stats,
-        },
-        sim.trace,
-    ))
+    run_count(dg, alg, cfg, opts, None).map(|r| (r.result, r.trace))
 }
 
-/// Like [`run_on`] under default options, returning just the count record
-/// (the common case of the simple drivers and benches).
-pub fn run_on_default(
-    dg: DistGraph,
-    alg: Algorithm,
-    cfg: &DistConfig,
-) -> Result<CountResult, DistError> {
-    run_on(dg, alg, cfg, &SimOptions::default()).map(|(r, _)| r)
-}
-
-/// Like [`run_on_default`] with the overlap-aware simulated clock enabled
-/// under `cost` (see `tricount_comm::runtime::run_timed`); the result's
-/// [`RunStats::makespan`](tricount_comm::RunStats::makespan) is populated.
-pub fn run_on_timed(
-    dg: DistGraph,
-    alg: Algorithm,
-    cfg: &DistConfig,
-    cost: tricount_comm::CostModel,
-) -> Result<CountResult, DistError> {
-    let opts = SimOptions {
-        timing: Some(cost),
-        ..SimOptions::default()
-    };
-    run_on(dg, alg, cfg, &opts).map(|(r, _)| r)
-}
-
-/// Like [`run_on`], additionally returning the kernel-dispatch tallies
-/// of every rank folded in rank order (empty for the baseline algorithms,
-/// which intersect without the dispatcher). (Previously
-/// `run_on_sim_stats`.)
+/// [`run_count`] without cache cells, projected to the count, trace and
+/// kernel-dispatch tallies.
 pub fn run_on_stats(
     dg: DistGraph,
     alg: Algorithm,
     cfg: &DistConfig,
     opts: &SimOptions,
 ) -> Result<(CountResult, Option<Trace>, dispatch::DispatchReport), DistError> {
-    let opts = resolve_opts(cfg, opts);
-    let p = dg.num_ranks();
-    let cells = into_cells(dg);
-    let body = |ctx: &mut Ctx| {
-        let lg = cells[ctx.rank()]
-            .lock()
-            .unwrap()
-            .take()
-            .expect("local graph already taken");
-        match alg {
-            Algorithm::Unaggregated | Algorithm::Ditric | Algorithm::Ditric2 => {
-                Ok(ditric::run_rank_stats(ctx, lg, cfg))
-            }
-            Algorithm::Cetric | Algorithm::Cetric2 => Ok(cetric::run_rank_stats(ctx, lg, cfg)),
-            Algorithm::TricLike => baselines::tric_like_rank(ctx, lg, cfg)
-                .map(|c| (c, dispatch::DispatchReport::new())),
-            Algorithm::HavoqgtLike => Ok((
-                baselines::havoqgt_like_rank(ctx, lg, cfg),
-                dispatch::DispatchReport::new(),
-            )),
-        }
-    };
-    let sim = run_sim(p, &opts, body);
-    let mut triangles = 0u64;
-    let mut report = dispatch::DispatchReport::new();
-    for (i, r) in sim.output.results.into_iter().enumerate() {
-        let (c, d) = r?;
-        if i == 0 {
-            triangles = c;
-        }
-        report.absorb(&d);
-    }
-    Ok((
-        CountResult {
-            triangles,
-            stats: sim.output.stats,
-        },
-        sim.trace,
-        report,
-    ))
-}
-
-/// Like [`run_on_stats`], additionally returning the drained wall-clock
-/// profile when the resolved options enable [`SimOptions::wall_profile`]
-/// on the threads backend (`None` otherwise — the sim backend has no wall
-/// clock worth measuring). This is the `tricount profile` dual-clock path.
-#[allow(clippy::type_complexity)]
-pub fn run_on_profiled(
-    dg: DistGraph,
-    alg: Algorithm,
-    cfg: &DistConfig,
-    opts: &SimOptions,
-) -> Result<
-    (
-        CountResult,
-        Option<Trace>,
-        dispatch::DispatchReport,
-        Option<tricount_comm::WallProfile>,
-    ),
-    DistError,
-> {
-    let opts = resolve_opts(cfg, opts);
-    let p = dg.num_ranks();
-    let cells = into_cells(dg);
-    let body = |ctx: &mut Ctx| {
-        let lg = cells[ctx.rank()]
-            .lock()
-            .unwrap()
-            .take()
-            .expect("local graph already taken");
-        match alg {
-            Algorithm::Unaggregated | Algorithm::Ditric | Algorithm::Ditric2 => {
-                Ok(ditric::run_rank_stats(ctx, lg, cfg))
-            }
-            Algorithm::Cetric | Algorithm::Cetric2 => Ok(cetric::run_rank_stats(ctx, lg, cfg)),
-            Algorithm::TricLike => baselines::tric_like_rank(ctx, lg, cfg)
-                .map(|c| (c, dispatch::DispatchReport::new())),
-            Algorithm::HavoqgtLike => Ok((
-                baselines::havoqgt_like_rank(ctx, lg, cfg),
-                dispatch::DispatchReport::new(),
-            )),
-        }
-    };
-    let sim = run_sim(p, &opts, body);
-    let mut triangles = 0u64;
-    let mut report = dispatch::DispatchReport::new();
-    for (i, r) in sim.output.results.into_iter().enumerate() {
-        let (c, d) = r?;
-        if i == 0 {
-            triangles = c;
-        }
-        report.absorb(&d);
-    }
-    Ok((
-        CountResult {
-            triangles,
-            stats: sim.output.stats,
-        },
-        sim.trace,
-        report,
-        sim.wall,
-    ))
-}
-
-/// Like [`run_on_stats`], threading a persistent per-rank adjacency cache
-/// through the run: rank `i` opens a [`CacheSession`] over `caches[i]`
-/// (exclusive writer — entries admitted this run become visible to the
-/// *next* run over the same cells, so repeated counts on a warm graph turn
-/// shipped adjacency lists into two-word references). The folded
-/// [`CacheReport`] of all ranks rides along. `caches` must hold exactly one
-/// cell per rank of `dg`; baselines ([`Algorithm::TricLike`] /
-/// [`Algorithm::HavoqgtLike`]) have no cached protocol and run with the
-/// session off.
-pub fn run_on_cached(
-    dg: DistGraph,
-    alg: Algorithm,
-    cfg: &DistConfig,
-    opts: &SimOptions,
-    caches: &[Mutex<tricount_cache::RankCache>],
-) -> Result<
-    (
-        CountResult,
-        dispatch::DispatchReport,
-        tricount_cache::CacheReport,
-    ),
-    DistError,
-> {
-    use tricount_cache::CacheSession;
-    let opts = resolve_opts(cfg, opts);
-    let p = dg.num_ranks();
-    assert_eq!(caches.len(), p, "one cache cell per rank");
-    let cells = into_cells(dg);
-    let body = |ctx: &mut Ctx| {
-        let lg = cells[ctx.rank()]
-            .lock()
-            .unwrap()
-            .take()
-            .expect("local graph already taken");
-        let mut cache = caches[ctx.rank()].lock().unwrap();
-        let generation = cache.generation();
-        let mut session = CacheSession::write(&mut cache, generation);
-        let counted = match alg {
-            Algorithm::Unaggregated | Algorithm::Ditric | Algorithm::Ditric2 => {
-                Ok(ditric::run_rank_cached(ctx, lg, cfg, &mut session))
-            }
-            Algorithm::Cetric | Algorithm::Cetric2 => {
-                Ok(cetric::run_rank_cached(ctx, lg, cfg, &mut session))
-            }
-            Algorithm::TricLike => baselines::tric_like_rank(ctx, lg, cfg)
-                .map(|c| (c, dispatch::DispatchReport::new())),
-            Algorithm::HavoqgtLike => Ok((
-                baselines::havoqgt_like_rank(ctx, lg, cfg),
-                dispatch::DispatchReport::new(),
-            )),
-        };
-        let outcome = session.finish();
-        counted.map(|(c, d)| (c, d, outcome.report))
-    };
-    let sim = run_sim(p, &opts, body);
-    let mut triangles = 0u64;
-    let mut report = dispatch::DispatchReport::new();
-    let mut cache_report = tricount_cache::CacheReport::default();
-    for (i, r) in sim.output.results.into_iter().enumerate() {
-        let (c, d, cr) = r?;
-        if i == 0 {
-            triangles = c;
-        }
-        report.absorb(&d);
-        cache_report.absorb(&cr);
-    }
-    Ok((
-        CountResult {
-            triangles,
-            stats: sim.output.stats,
-        },
-        report,
-        cache_report,
-    ))
-}
-
-/// Like [`run_on`], but under the deadlock watchdog
-/// ([`tricount_comm::run_guarded`]): if no PE makes progress for `timeout`,
-/// the run is abandoned and the watchdog's wait-for-graph diagnosis comes
-/// back as [`DistError::Deadlock`] instead of the process hanging. This is
-/// the execution path of the resident query engine, where a wedged query
-/// must surface as a failed request rather than take the server down.
-pub fn run_on_guarded(
-    dg: DistGraph,
-    alg: Algorithm,
-    cfg: &DistConfig,
-    opts: &SimOptions,
-    timeout: std::time::Duration,
-) -> Result<CountResult, DistError> {
-    let opts = resolve_opts(cfg, opts);
-    let p = dg.num_ranks();
-    let cells = Arc::new(into_cells(dg));
-    let cfg = *cfg;
-    let body = move |ctx: &mut Ctx| {
-        let lg = cells[ctx.rank()]
-            .lock()
-            .unwrap()
-            .take()
-            .expect("local graph already taken");
-        match alg {
-            Algorithm::Unaggregated | Algorithm::Ditric | Algorithm::Ditric2 => {
-                Ok(ditric::run_rank(ctx, lg, &cfg))
-            }
-            Algorithm::Cetric | Algorithm::Cetric2 => Ok(cetric::run_rank(ctx, lg, &cfg)),
-            Algorithm::TricLike => baselines::tric_like_rank(ctx, lg, &cfg),
-            Algorithm::HavoqgtLike => Ok(baselines::havoqgt_like_rank(ctx, lg, &cfg)),
-        }
-    };
-    let out = run_guarded(p, &opts, timeout, body)?;
-    let triangles = out.output.results.into_iter().next().unwrap()?;
-    Ok(CountResult {
-        triangles,
-        stats: out.output.stats,
-    })
+    run_count(dg, alg, cfg, opts, None).map(|r| (r.result, r.trace, r.dispatch))
 }
 
 /// Convenience driver: partitions `g` over `p` PEs (vertex-balanced) and
 /// runs `alg` with its default configuration.
 pub fn count(g: &tricount_graph::Csr, p: usize, alg: Algorithm) -> Result<CountResult, DistError> {
-    run_on_default(DistGraph::new_balanced_vertices(g, p), alg, &alg.config())
+    count_with(g, p, alg, &alg.config())
 }
 
 /// Like [`count`] with an explicit configuration.
@@ -464,5 +325,6 @@ pub fn count_with(
     alg: Algorithm,
     cfg: &DistConfig,
 ) -> Result<CountResult, DistError> {
-    run_on_default(DistGraph::new_balanced_vertices(g, p), alg, cfg)
+    let dg = DistGraph::new_balanced_vertices(g, p);
+    run_count(dg, alg, cfg, &SimOptions::default(), None).map(|r| r.result)
 }

@@ -11,13 +11,14 @@
 //! is measurable (and the paper's negative finding reproducible, see the
 //! `ablations` bench and `rebalancing_overhead` test).
 
-use tricount_comm::{run, Ctx};
+use tricount_cache::CacheSession;
+use tricount_comm::{run_sim, Ctx, SimOptions};
 use tricount_graph::dist::{DistGraph, LocalGraph};
 use tricount_graph::{Csr, Partition, VertexId};
 
 use crate::config::{Algorithm, DistConfig};
-use crate::dist::into_cells;
 use crate::dist::phases;
+use crate::dist::{count_rank, into_cells, take_local};
 use crate::result::{CountResult, DistError};
 
 /// Moves every vertex's neighborhood to its owner under `new_part`, through
@@ -52,7 +53,8 @@ pub fn redistribute(ctx: &mut Ctx, lg: &LocalGraph, new_part: &Partition) -> Loc
 
 /// Counts triangles with a metered rebalancing step in front: the graph
 /// starts vertex-balanced, is redistributed to the cost-function partition
-/// (recorded as a `"rebalance"` phase), and counted by `alg` afterwards.
+/// (recorded as a `"rebalance"` phase), and counted by `alg` afterwards on
+/// the backend `cfg.transport` selects.
 pub fn count_rebalanced(
     g: &Csr,
     p: usize,
@@ -63,24 +65,14 @@ pub fn count_rebalanced(
     let new_part = Partition::balanced_by_cost(g, p, cost);
     let dg = DistGraph::new_balanced_vertices(g, p);
     let cells = into_cells(dg);
-    let out = run(p, |ctx| {
-        let lg = cells[ctx.rank()]
-            .lock()
-            .unwrap()
-            .take()
-            .expect("local graph already taken");
+    let out = run_sim(p, &SimOptions::on(cfg.transport), |ctx| {
+        let lg = take_local(&cells, ctx.rank());
         let lg = redistribute(ctx, &lg, &new_part);
         ctx.end_phase(phases::REBALANCE);
-        match alg {
-            Algorithm::Unaggregated | Algorithm::Ditric | Algorithm::Ditric2 => {
-                Ok(super::ditric::run_rank(ctx, lg, cfg))
-            }
-            Algorithm::Cetric | Algorithm::Cetric2 => Ok(super::cetric::run_rank(ctx, lg, cfg)),
-            Algorithm::TricLike => super::baselines::tric_like_rank(ctx, lg, cfg),
-            Algorithm::HavoqgtLike => Ok(super::baselines::havoqgt_like_rank(ctx, lg, cfg)),
-        }
-    });
-    let triangles = out.results.into_iter().next().unwrap()?;
+        count_rank(ctx, lg, alg, cfg, &mut CacheSession::off())
+    })
+    .output;
+    let (triangles, _) = out.results.into_iter().next().unwrap()?;
     Ok(CountResult {
         triangles,
         stats: out.stats,
@@ -91,7 +83,7 @@ pub fn count_rebalanced(
 mod tests {
     use super::*;
     use crate::seq;
-    use tricount_comm::CostModel;
+    use tricount_comm::{run, CostModel};
 
     #[test]
     fn redistribution_preserves_the_graph() {

@@ -23,7 +23,8 @@ use tricount_graph::VertexId;
 
 /// Computes the support of each query edge on this rank. All ranks must
 /// pass the same `queries` slice; all ranks return the same full answer
-/// vector (indexed like `queries`).
+/// vector (indexed like `queries`), plus this rank's kernel-dispatch
+/// tallies.
 ///
 /// Edges are initiated by the owner of their first endpoint, so `(a, b)`
 /// and `(b, a)` yield the same support but may be answered by different
@@ -32,32 +33,14 @@ use tricount_graph::VertexId;
 /// endpoints. Intersections dispatch through `cfg.kernels` (no hub index —
 /// support intersects *full* neighborhoods, which the prepared hub index
 /// does not cover).
+///
+/// `session` caches the shipped `N(a)` lists ([`ListKind::Full`] — kept
+/// coherent across updates by `update_route` patches). Wire formats: the
+/// original `[idx, b, |N(a)|, N(a)…]` record with [`CacheSession::off`];
+/// with an active session, `[idx, b, a, 0, |N(a)|, N(a)…]` full sends (the
+/// extra `a` keys the cache on the answering rank) or `[idx, b, a, 1]`
+/// references.
 pub fn edge_support_rank(
-    ctx: &mut Ctx,
-    lg: &LocalGraph,
-    queries: &[(VertexId, VertexId)],
-    cfg: &DistConfig,
-) -> Vec<u64> {
-    edge_support_rank_stats(ctx, lg, queries, cfg).0
-}
-
-/// [`edge_support_rank`] plus this rank's kernel-dispatch tallies.
-pub fn edge_support_rank_stats(
-    ctx: &mut Ctx,
-    lg: &LocalGraph,
-    queries: &[(VertexId, VertexId)],
-    cfg: &DistConfig,
-) -> (Vec<u64>, DispatchReport) {
-    edge_support_rank_cached(ctx, lg, queries, cfg, &mut CacheSession::off())
-}
-
-/// [`edge_support_rank_stats`] with a live adjacency-cache session over the
-/// shipped `N(a)` lists ([`ListKind::Full`] — kept coherent across updates
-/// by `update_route` patches). Wire formats: the original
-/// `[idx, b, |N(a)|, N(a)…]` record with an off session; with an active one,
-/// `[idx, b, a, 0, |N(a)|, N(a)…]` full sends (the extra `a` keys the cache
-/// on the answering rank) or `[idx, b, a, 1]` references.
-pub fn edge_support_rank_cached(
     ctx: &mut Ctx,
     lg: &LocalGraph,
     queries: &[(VertexId, VertexId)],
@@ -188,7 +171,7 @@ mod tests {
         let cfg = DistConfig::default();
         let out = run(p, |ctx| {
             let lg = cells[ctx.rank()].lock().unwrap().take().unwrap();
-            edge_support_rank(ctx, &lg, &q, &cfg)
+            edge_support_rank(ctx, &lg, &q, &cfg, &mut CacheSession::off()).0
         });
         for ranks_answer in &out.results {
             assert_eq!(ranks_answer, &expected);

@@ -1,12 +1,21 @@
 //! Cross-variant correctness tests: every distributed algorithm must agree
 //! with the sequential ground truth on every graph family and PE count.
 
+use tricount_comm::{CostModel, SimOptions};
 use tricount_gen::{gnm, rgg2d_default, rhg_default, rmat_default, road_default, Dataset};
 use tricount_graph::{Csr, DistGraph, EdgeList};
 
 use crate::config::{Aggregation, Algorithm, DistConfig};
-use crate::dist::{approx, count, count_with, hybrid, lcc};
+use crate::dist::{approx, count, count_with, hybrid, lcc, run_count};
 use crate::seq;
+
+/// Default options with the overlap-aware simulated clock under `cost`.
+fn timed(cost: CostModel) -> SimOptions {
+    SimOptions {
+        timing: Some(cost),
+        ..SimOptions::default()
+    }
+}
 
 fn graph(edges: &[(u64, u64)], n: u64) -> Csr {
     let mut el = EdgeList::from_pairs(edges.to_vec());
@@ -117,7 +126,9 @@ fn edge_balanced_partition_also_correct() {
     let truth = seq::compact_forward(&g).triangles;
     for alg in [Algorithm::Ditric, Algorithm::Cetric] {
         let dg = DistGraph::new_balanced_edges(&g, 5);
-        let r = crate::dist::run_on_default(dg, alg, &alg.config()).unwrap();
+        let r = run_count(dg, alg, &alg.config(), &SimOptions::default(), None)
+            .unwrap()
+            .result;
         assert_eq!(r.triangles, truth, "{alg:?}");
     }
 }
@@ -338,12 +349,13 @@ fn hybrid_counts_correctly_and_cuts_volume() {
 
 #[test]
 fn timed_runs_produce_overlap_aware_makespans() {
-    use tricount_comm::CostModel;
     let g = gnm(400, 4800, 21);
     let cost = CostModel::supermuc();
     for alg in [Algorithm::Ditric, Algorithm::Cetric2] {
         let dg = DistGraph::new_balanced_vertices(&g, 6);
-        let r = crate::dist::run_on_timed(dg, alg, &alg.config(), cost).unwrap();
+        let r = run_count(dg, alg, &alg.config(), &timed(cost), None)
+            .unwrap()
+            .result;
         assert_eq!(r.triangles, seq::compact_forward(&g).triangles, "{alg:?}");
         let makespan = r.stats.makespan();
         let modeled = r.stats.modeled_time(&cost);
@@ -364,12 +376,14 @@ fn timed_runs_produce_overlap_aware_makespans() {
 
 #[test]
 fn timed_runs_are_deterministic_in_counters_not_clock_order() {
-    use tricount_comm::CostModel;
     let g = rgg2d_default(500, 4);
     let cost = CostModel::cloud();
     let mk = || {
         let dg = DistGraph::new_balanced_vertices(&g, 4);
-        crate::dist::run_on_timed(dg, Algorithm::Ditric, &Algorithm::Ditric.config(), cost).unwrap()
+        let cfg = Algorithm::Ditric.config();
+        run_count(dg, Algorithm::Ditric, &cfg, &timed(cost), None)
+            .unwrap()
+            .result
     };
     let a = mk();
     let b = mk();

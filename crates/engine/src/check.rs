@@ -24,6 +24,7 @@ use std::time::Duration;
 
 use tricount_comm::{Ctx, SimOptions};
 use tricount_core::config::Algorithm;
+use tricount_core::dist::run_count;
 use tricount_core::result::DistError;
 use tricount_graph::dist::DistGraph;
 use tricount_graph::Csr;
@@ -148,13 +149,10 @@ fn triangles_at(g: &Csr, v: u64) -> u64 {
 pub fn check_concurrency(g: &Csr, opts: &CheckOptions) -> Result<CheckReport, DistError> {
     // Layer 1: one real traced run, analyzed.
     let dg = DistGraph::new_balanced_vertices(g, opts.p);
-    let (res, trace) = tricount_core::dist::run_on(
-        dg,
-        opts.algorithm,
-        &opts.algorithm.config(),
-        &SimOptions::traced(),
-    )?;
-    let trace = trace.unwrap_or_default();
+    let cfg = opts.algorithm.config();
+    let run = run_count(dg, opts.algorithm, &cfg, &SimOptions::traced(), None)?;
+    let res = run.result;
+    let trace = run.trace.unwrap_or_default();
     let hb = check_hb(&trace);
     let conformance = check_trace(&trace);
 

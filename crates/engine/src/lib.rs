@@ -75,8 +75,8 @@ use tricount_core::dist::approx::{approx_prepared, ApproxConfig, FilterKind};
 use tricount_core::dist::delta as delta_dist;
 use tricount_core::dist::dispatch::DispatchReport;
 use tricount_core::dist::residency::{build_residency, PreparedRank};
-use tricount_core::dist::support::edge_support_rank_cached;
-use tricount_core::dist::{baselines, cetric, ditric, lcc, phases};
+use tricount_core::dist::support::edge_support_rank;
+use tricount_core::dist::{cetric, count_rank, lcc};
 use tricount_core::result::DistError;
 use tricount_delta::{Overlay, UpdateBatch};
 use tricount_graph::dist::DistGraph;
@@ -361,7 +361,8 @@ impl Engine {
         let baseline_ranks = ranks.clone();
         let dist = cfg.dist;
         let baseline = run_sim(cfg.num_ranks, &opts, move |ctx: &mut Ctx| {
-            cetric::count_prepared(ctx, &baseline_ranks[ctx.rank()], &dist)
+            let prep = &baseline_ranks[ctx.rank()];
+            cetric::count_prepared(ctx, prep, &dist, &mut CacheSession::off()).0
         });
         let resident_triangles = baseline.output.results[0];
         let overlay: Vec<Overlay> = ranks.iter().map(|r| Overlay::for_local(&r.local)).collect();
@@ -894,7 +895,7 @@ impl Engine {
             } else {
                 CacheSession::metered()
             };
-            let outcome = delta_dist::apply_batch_rank_cached(
+            let (outcome, dispatch) = delta_dist::apply_batch_rank(
                 ctx,
                 &run_ranks[ctx.rank()].local,
                 &mut ov,
@@ -907,7 +908,7 @@ impl Engine {
             } else {
                 session.finish().report
             };
-            (outcome, report)
+            (outcome, dispatch, report)
         });
         let out = match out {
             Ok(out) => out,
@@ -924,8 +925,14 @@ impl Engine {
         };
         let wall = started.elapsed().as_secs_f64();
         let stats = out.output.stats;
-        let (outcomes, cache_reports): (Vec<_>, Vec<CacheReport>) =
-            out.output.results.into_iter().unzip();
+        let mut outcomes = Vec::with_capacity(p);
+        let mut dispatch = DispatchReport::new();
+        let mut cache_reports: Vec<CacheReport> = Vec::with_capacity(p);
+        for (o, d, r) in out.output.results {
+            outcomes.push(o);
+            dispatch.absorb(&d);
+            cache_reports.push(r);
+        }
 
         // Degree maintenance: each effective edge appears in exactly one
         // rank's tail list; both endpoint degrees move by one. The next
@@ -957,9 +964,7 @@ impl Engine {
             }
             // Kernel-dispatch tallies of the counting passes, folded per
             // rank in rank order under the update-count phase.
-            for o in &outcomes {
-                m.kernel_dispatch.add(phases::UPDATE_COUNT, o.kernels);
-            }
+            m.kernel_dispatch.absorb(&dispatch);
             m.updates_applied += 1;
             m.edges_inserted += global.inserted;
             m.edges_deleted += global.deleted;
@@ -1753,7 +1758,7 @@ impl EngineInner {
                 let cfg = self.cfg.dist;
                 let out = run_guarded(p, &opts, self.cfg.watchdog, move |ctx: &mut Ctx| {
                     let mut session = Self::query_session(&caches, enabled, ctx.rank());
-                    let r = lcc::lcc_prepared_cached(ctx, &ranks[ctx.rank()], &cfg, &mut session);
+                    let r = lcc::lcc_prepared(ctx, &ranks[ctx.rank()], &cfg, &mut session);
                     (r, session.finish())
                 })
                 .map_err(DistError::from)?;
@@ -1781,7 +1786,7 @@ impl EngineInner {
                 let edges = Arc::new(edges.clone());
                 let out = run_guarded(p, &opts, self.cfg.watchdog, move |ctx: &mut Ctx| {
                     let mut session = Self::query_session(&caches, enabled, ctx.rank());
-                    let r = edge_support_rank_cached(
+                    let r = edge_support_rank(
                         ctx,
                         &ranks[ctx.rank()].local,
                         &edges,
@@ -1834,7 +1839,7 @@ impl EngineInner {
                     CachedValue::Approx(exact as f64 + corrected, *bits as f64),
                     out.output.stats,
                     wall,
-                    report_empty(),
+                    DispatchReport::new(),
                     // The sketch exchange ships filters, not adjacency
                     // lists — nothing for the cache.
                     Vec::new(),
@@ -1844,16 +1849,12 @@ impl EngineInner {
     }
 }
 
-fn report_empty() -> DispatchReport {
-    DispatchReport::new()
-}
-
 /// One rank's program for a global-count query: the contraction variants
-/// run directly on the resident prepared state; the others run their full
-/// rank program on a clone of the resident local graph, whose ghost degrees
-/// are already known — so their preprocessing phase does no communication.
-/// Returns the count plus this rank's kernel-dispatch tallies (empty for
-/// the baselines, which intersect without the dispatcher).
+/// count directly on the resident prepared state; the others run the
+/// one-shot rank program ([`count_rank`]) on a clone of the resident local
+/// graph, whose ghost degrees are already known — so their preprocessing
+/// phase does no communication. Returns the count plus this rank's
+/// kernel-dispatch tallies.
 fn exec_global(
     ctx: &mut Ctx,
     prep: &PreparedRank,
@@ -1863,17 +1864,9 @@ fn exec_global(
 ) -> Result<(u64, DispatchReport), DistError> {
     match alg {
         Algorithm::Cetric | Algorithm::Cetric2 => {
-            Ok(cetric::count_prepared_cached(ctx, prep, cfg, session))
+            Ok(cetric::count_prepared(ctx, prep, cfg, session))
         }
-        Algorithm::Unaggregated | Algorithm::Ditric | Algorithm::Ditric2 => Ok(
-            ditric::run_rank_cached(ctx, prep.local.clone(), cfg, session),
-        ),
-        Algorithm::TricLike => baselines::tric_like_rank(ctx, prep.local.clone(), cfg)
-            .map(|c| (c, DispatchReport::new())),
-        Algorithm::HavoqgtLike => Ok((
-            baselines::havoqgt_like_rank(ctx, prep.local.clone(), cfg),
-            DispatchReport::new(),
-        )),
+        _ => count_rank(ctx, prep.local.clone(), alg, cfg, session),
     }
 }
 

@@ -6,7 +6,7 @@
 use tricount_core::config::{Algorithm, DegreeExchange, DistConfig};
 use tricount_core::dist::residency::build_residency;
 use tricount_core::dist::{count, lcc as dist_lcc};
-use tricount_core::seq;
+use tricount_core::{seq, CacheSession};
 use tricount_engine::{Engine, EngineConfig, Query, QueryAnswer};
 use tricount_graph::dist::DistGraph;
 use tricount_graph::intersect::merge_count;
@@ -163,7 +163,10 @@ fn prepared_rank_programs_are_schedule_independent() {
         p,
         &[1, 2, 3],
         &SimOptions::default(),
-        |ctx| tricount_core::dist::cetric::count_prepared(ctx, &ranks[ctx.rank()], &cfg),
+        |ctx| {
+            let prep = &ranks[ctx.rank()];
+            tricount_core::dist::cetric::count_prepared(ctx, prep, &cfg, &mut CacheSession::off()).0
+        },
     )
     .expect("count must not depend on the schedule");
     assert_eq!(
@@ -175,7 +178,10 @@ fn prepared_rank_programs_are_schedule_independent() {
         p,
         &[1, 2, 3],
         &SimOptions::default(),
-        |ctx| tricount_core::dist::lcc::lcc_prepared(ctx, &ranks[ctx.rank()], &cfg),
+        |ctx| {
+            let prep = &ranks[ctx.rank()];
+            tricount_core::dist::lcc::lcc_prepared(ctx, prep, &cfg, &mut CacheSession::off()).0
+        },
     )
     .expect("per-vertex counts must not depend on the schedule");
 

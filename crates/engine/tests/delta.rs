@@ -11,7 +11,7 @@ use tricount_comm::SimOptions;
 use tricount_core::config::{Algorithm, DistConfig};
 use tricount_core::dist::delta as delta_dist;
 use tricount_core::dist::residency::build_residency;
-use tricount_core::seq;
+use tricount_core::{seq, CacheSession};
 use tricount_delta::{apply_to_csr, random_batch, Overlay, UpdateBatch};
 use tricount_engine::{Engine, EngineConfig, EngineError, Query, QueryAnswer};
 use tricount_graph::dist::DistGraph;
@@ -158,8 +158,9 @@ fn update_protocol_is_schedule_independent() {
         |ctx| {
             // fresh overlay per run: the harness re-executes the program
             let mut ov = Overlay::for_local(&ranks[ctx.rank()].local);
-            let out =
-                delta_dist::apply_batch_rank(ctx, &ranks[ctx.rank()].local, &mut ov, &batch, &cfg);
+            let lg = &ranks[ctx.rank()].local;
+            let session = &mut CacheSession::off();
+            let (out, _) = delta_dist::apply_batch_rank(ctx, lg, &mut ov, &batch, &cfg, session);
             (
                 out.inserted,
                 out.deleted,

@@ -199,9 +199,13 @@ fn wall_profiled_engine_reports_contention() {
     use tricount_comm::TransportKind;
     let g = tricount_gen::rgg2d_default(128, 3);
 
+    // Both engines run untimed: the overlap-aware `sim_clock` depends on
+    // the threads backend's schedule, so whole-`Counters` equality holds
+    // only without it (as in the transport-equivalence suite).
     // profiling off: nothing is profiled, the snapshot stays silent
     let mut plain_cfg = EngineConfig::new(2);
     plain_cfg.dist.transport = TransportKind::Threads;
+    plain_cfg.timing = None;
     let plain = Engine::build(&g, plain_cfg);
     plain
         .submit(Query::GlobalTriangles {
@@ -217,6 +221,7 @@ fn wall_profiled_engine_reports_contention() {
     // and the modeled counters match the unprofiled engine exactly
     let mut cfg = EngineConfig::new(2);
     cfg.dist.transport = TransportKind::Threads;
+    cfg.timing = None;
     cfg.wall_profile = true;
     let e = Engine::build(&g, cfg);
     e.submit(Query::GlobalTriangles {

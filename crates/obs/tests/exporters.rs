@@ -9,7 +9,7 @@
 
 use tricount_comm::{CostModel, SimOptions};
 use tricount_core::config::Algorithm;
-use tricount_core::dist::run_on;
+use tricount_core::dist::{run_count, CountRun};
 use tricount_graph::dist::DistGraph;
 use tricount_obs::{export_run, json, parse_exposition, run_metrics};
 
@@ -32,7 +32,9 @@ fn traced_opts(perturb_seed: Option<u64>) -> SimOptions {
 #[test]
 fn chrome_trace_is_valid_json_with_one_flow_per_delivery() {
     let alg = Algorithm::Cetric;
-    let (r, trace) = run_on(rgg16(), alg, &alg.config(), &traced_opts(None)).unwrap();
+    let CountRun {
+        result: r, trace, ..
+    } = run_count(rgg16(), alg, &alg.config(), &traced_opts(None), None).unwrap();
     let trace = trace.expect("traced");
     let cost = CostModel::supermuc();
     let export = export_run(&trace, &r.stats, &cost);
@@ -52,7 +54,9 @@ fn chrome_trace_bytes_identical_across_schedule_perturbations() {
     let cost = CostModel::supermuc();
     let mut exports = Vec::new();
     for seed in [None, Some(7), Some(1234)] {
-        let (r, trace) = run_on(rgg16(), alg, &alg.config(), &traced_opts(seed)).unwrap();
+        let CountRun {
+            result: r, trace, ..
+        } = run_count(rgg16(), alg, &alg.config(), &traced_opts(seed), None).unwrap();
         let trace = trace.expect("traced");
         exports.push(export_run(&trace, &r.stats, &cost).json);
     }
@@ -66,7 +70,9 @@ fn chrome_trace_bytes_identical_across_schedule_perturbations() {
 #[test]
 fn prometheus_snapshot_round_trips_through_the_parser() {
     let alg = Algorithm::Cetric;
-    let (r, trace) = run_on(rgg16(), alg, &alg.config(), &traced_opts(None)).unwrap();
+    let CountRun {
+        result: r, trace, ..
+    } = run_count(rgg16(), alg, &alg.config(), &traced_opts(None), None).unwrap();
     let trace = trace.expect("traced");
     let cost = CostModel::supermuc();
     let text = run_metrics(&r.stats, &cost, Some(&trace)).render();
@@ -150,9 +156,17 @@ fn tracing_does_not_perturb_the_run() {
             perturb_seed: None,
             ..SimOptions::default()
         };
-        let (r_plain, t_plain) = run_on(rgg16(), alg, &alg.config(), &untraced).unwrap();
+        let CountRun {
+            result: r_plain,
+            trace: t_plain,
+            ..
+        } = run_count(rgg16(), alg, &alg.config(), &untraced, None).unwrap();
         assert!(t_plain.is_none());
-        let (r_traced, t_traced) = run_on(rgg16(), alg, &alg.config(), &traced_opts(None)).unwrap();
+        let CountRun {
+            result: r_traced,
+            trace: t_traced,
+            ..
+        } = run_count(rgg16(), alg, &alg.config(), &traced_opts(None), None).unwrap();
         assert!(t_traced.is_some());
         assert_eq!(r_plain.triangles, r_traced.triangles);
         assert_eq!(
@@ -187,8 +201,12 @@ fn tracing_does_not_perturb_grid_invariants() {
         perturb_seed: None,
         ..SimOptions::default()
     };
-    let (r_plain, _) = run_on(rgg16(), alg, &alg.config(), &untraced).unwrap();
-    let (r_traced, _) = run_on(rgg16(), alg, &alg.config(), &traced_opts(None)).unwrap();
+    let CountRun {
+        result: r_plain, ..
+    } = run_count(rgg16(), alg, &alg.config(), &untraced, None).unwrap();
+    let CountRun {
+        result: r_traced, ..
+    } = run_count(rgg16(), alg, &alg.config(), &traced_opts(None), None).unwrap();
     assert_eq!(r_plain.triangles, r_traced.triangles);
     let (a, b) = (r_plain.stats.totals(), r_traced.stats.totals());
     assert_eq!(a.sent_words, b.sent_words);

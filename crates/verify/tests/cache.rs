@@ -12,13 +12,13 @@
 use std::sync::Mutex;
 
 use tricount_cache::{CacheConfig, CacheReport, CacheSession, RankCache};
-use tricount_comm::{run_sim, Counters, RunStats, SimOptions, TransportKind};
+use tricount_comm::{run_sim, Counters, Ctx, RunStats, SimOptions, TransportKind};
 use tricount_core::config::{Algorithm, DistConfig};
-use tricount_core::dist::delta::{apply_batch_rank, apply_batch_rank_cached, DeltaOutcome};
-use tricount_core::dist::lcc::{lcc_prepared, lcc_prepared_cached};
+use tricount_core::dist::delta::{apply_batch_rank, DeltaOutcome};
+use tricount_core::dist::lcc::lcc_prepared;
 use tricount_core::dist::residency::{build_residency, PreparedRank};
-use tricount_core::dist::support::{edge_support_rank, edge_support_rank_cached};
-use tricount_core::dist::{run_on, run_on_cached};
+use tricount_core::dist::run_count;
+use tricount_core::dist::support::edge_support_rank;
 use tricount_core::seq::compact_forward;
 use tricount_delta::{random_batch, CanonicalBatch, Overlay};
 use tricount_graph::dist::{DistGraph, LocalGraph};
@@ -45,6 +45,37 @@ fn fresh_cells(p: usize) -> Vec<Mutex<RankCache>> {
     (0..p)
         .map(|_| Mutex::new(RankCache::new(cache_cfg(), p, None)))
         .collect()
+}
+
+/// Runs `f` on every rank, each under [`CacheSession::off`] without
+/// `cells` or under a write session over its own cell — the one rank
+/// program, observed uncached and cached. Returns the per-rank values and
+/// the folded session reports.
+fn run_sessions<T: Send>(
+    p: usize,
+    opts: &SimOptions,
+    cells: Option<&[Mutex<RankCache>]>,
+    f: impl Fn(&mut Ctx, &mut CacheSession<'_>) -> T + Send + Sync,
+) -> (Vec<T>, CacheReport) {
+    let sim = run_sim(p, opts, |ctx| {
+        let mut cell = cells.map(|c| c[ctx.rank()].lock().unwrap());
+        let mut session = match cell.as_deref_mut() {
+            Some(cache) => {
+                let generation = cache.generation();
+                CacheSession::write(cache, generation)
+            }
+            None => CacheSession::off(),
+        };
+        let out = f(ctx, &mut session);
+        (out, session.finish().report)
+    });
+    let mut report = CacheReport::default();
+    let mut values = Vec::with_capacity(p);
+    for (v, r) in sim.output.results {
+        values.push(v);
+        report.absorb(&r);
+    }
+    (values, report)
 }
 
 /// Per-rank `work_ops` totals — the meter the cache must never perturb.
@@ -81,22 +112,17 @@ fn all_variants_bit_equal_cached_vs_uncached() {
         for alg in Algorithm::all() {
             let cfg = alg.config();
             for opts in backends() {
-                let (plain, _) = run_on(DistGraph::new_balanced_vertices(&g, p), alg, &cfg, &opts)
-                    .unwrap_or_else(|e| panic!("{} p={p} uncached: {e}", alg.name()));
+                let cells = fresh_cells(p);
+                let run = |cells: Option<&[Mutex<RankCache>]>| {
+                    let dg = DistGraph::new_balanced_vertices(&g, p);
+                    let r = run_count(dg, alg, &cfg, &opts, cells)
+                        .unwrap_or_else(|e| panic!("{} p={p} {cells:?}: {e}", alg.name()));
+                    (r.result, r.cache)
+                };
+                let (plain, _) = run(None);
                 assert_eq!(plain.triangles, truth, "{} p={p} uncached", alg.name());
 
-                let cells = fresh_cells(p);
-                let run_cached = || {
-                    run_on_cached(
-                        DistGraph::new_balanced_vertices(&g, p),
-                        alg,
-                        &cfg,
-                        &opts,
-                        &cells,
-                    )
-                    .unwrap_or_else(|e| panic!("{} p={p} cached: {e}", alg.name()))
-                };
-                let (cold, _, cold_report) = run_cached();
+                let (cold, cold_report) = run(Some(&cells));
                 assert_eq!(cold.triangles, truth, "{} p={p} cold cache", alg.name());
                 assert_eq!(
                     work_per_rank(&plain.stats),
@@ -107,7 +133,7 @@ fn all_variants_bit_equal_cached_vs_uncached() {
                 // Cold cache over empty cells: every lookup misses.
                 assert_eq!(cold_report.hits, 0, "{} p={p} cold hits", alg.name());
 
-                let (warm, _, warm_report) = run_cached();
+                let (warm, warm_report) = run(Some(&cells));
                 assert_eq!(warm.triangles, truth, "{} p={p} warm cache", alg.name());
                 assert_eq!(
                     work_per_rank(&plain.stats),
@@ -147,30 +173,17 @@ fn lcc_bit_equal_cached_vs_uncached() {
     for opts in backends() {
         let (ranks, _): (Vec<PreparedRank>, _) =
             build_residency(DistGraph::new_balanced_vertices(&g, p), &cfg, &opts);
-        let plain = run_sim(p, &opts, |ctx| lcc_prepared(ctx, &ranks[ctx.rank()], &cfg))
-            .output
-            .results;
+        let run = |cells: Option<&[Mutex<RankCache>]>| {
+            run_sessions(p, &opts, cells, |ctx, session| {
+                lcc_prepared(ctx, &ranks[ctx.rank()], &cfg, session)
+            })
+        };
+        let (plain, _) = run(None);
 
         let cells = fresh_cells(p);
-        let run_cached = || {
-            let sim = run_sim(p, &opts, |ctx| {
-                let mut cache = cells[ctx.rank()].lock().unwrap();
-                let generation = cache.generation();
-                let mut session = CacheSession::write(&mut cache, generation);
-                let out = lcc_prepared_cached(ctx, &ranks[ctx.rank()], &cfg, &mut session).0;
-                (out, session.finish().report)
-            });
-            let mut report = CacheReport::default();
-            let mut answers = Vec::new();
-            for (a, r) in sim.output.results {
-                answers.push(a);
-                report.absorb(&r);
-            }
-            (answers, report)
-        };
-        let (cold, cold_report) = run_cached();
+        let (cold, cold_report) = run(Some(&cells));
         assert_eq!(plain, cold, "cold cached LCC diverged");
-        let (warm, warm_report) = run_cached();
+        let (warm, warm_report) = run(Some(&cells));
         assert_eq!(plain, warm, "warm cached LCC diverged");
         assert!(cold_report.staged > 0, "fixture must ship contracted lists");
         assert_eq!(warm_report.misses, 0);
@@ -195,35 +208,17 @@ fn support_bit_equal_cached_vs_uncached() {
     }
     for opts in backends() {
         let locals: Vec<LocalGraph> = DistGraph::new_balanced_vertices(&g, p).into_locals();
-        let q = queries.clone();
-        let plain = run_sim(p, &opts, |ctx| {
-            edge_support_rank(ctx, &locals[ctx.rank()], &q, &cfg)
-        })
-        .output
-        .results;
+        let run = |cells: Option<&[Mutex<RankCache>]>| {
+            run_sessions(p, &opts, cells, |ctx, session| {
+                edge_support_rank(ctx, &locals[ctx.rank()], &queries, &cfg, session)
+            })
+        };
+        let (plain, _) = run(None);
 
         let cells = fresh_cells(p);
-        let run_cached = || {
-            let q = queries.clone();
-            let sim = run_sim(p, &opts, |ctx| {
-                let mut cache = cells[ctx.rank()].lock().unwrap();
-                let generation = cache.generation();
-                let mut session = CacheSession::write(&mut cache, generation);
-                let out =
-                    edge_support_rank_cached(ctx, &locals[ctx.rank()], &q, &cfg, &mut session).0;
-                (out, session.finish().report)
-            });
-            let mut report = CacheReport::default();
-            let mut answers = Vec::new();
-            for (a, r) in sim.output.results {
-                answers.push(a);
-                report.absorb(&r);
-            }
-            (answers, report)
-        };
-        let (cold, cold_report) = run_cached();
+        let (cold, cold_report) = run(Some(&cells));
         assert_eq!(plain, cold, "cold cached support diverged");
-        let (warm, warm_report) = run_cached();
+        let (warm, warm_report) = run(Some(&cells));
         assert_eq!(plain, warm, "warm cached support diverged");
         assert!(cold_report.staged > 0, "queries must cross rank boundaries");
         assert_eq!(warm_report.misses, 0);
@@ -249,66 +244,31 @@ fn delta_updates_bit_equal_cached_vs_uncached() {
         .collect();
 
     for opts in backends() {
-        let run_plain = || -> Vec<Vec<DeltaOutcome>> {
+        let run = |cells: Option<&[Mutex<RankCache>]>| {
             let (ranks, _) = build_residency(DistGraph::new_balanced_vertices(&g, p), &cfg, &opts);
             let overlays: Vec<Mutex<Overlay>> = ranks
                 .iter()
                 .map(|r| Mutex::new(Overlay::for_local(&r.local)))
                 .collect();
-            batches
-                .iter()
-                .map(|batch| {
-                    run_sim(p, &opts, |ctx| {
-                        let prep = &ranks[ctx.rank()];
-                        let mut ov = overlays[ctx.rank()].lock().unwrap();
-                        apply_batch_rank(ctx, &prep.local, &mut ov, batch, &cfg)
-                    })
-                    .output
-                    .results
-                })
-                .collect()
-        };
-        let run_cached = || -> (Vec<Vec<DeltaOutcome>>, CacheReport) {
-            let (ranks, _) = build_residency(DistGraph::new_balanced_vertices(&g, p), &cfg, &opts);
-            let overlays: Vec<Mutex<Overlay>> = ranks
-                .iter()
-                .map(|r| Mutex::new(Overlay::for_local(&r.local)))
-                .collect();
-            let cells = fresh_cells(p);
             let mut report = CacheReport::default();
-            let outcomes = batches
+            let outcomes: Vec<Vec<DeltaOutcome>> = batches
                 .iter()
                 .map(|batch| {
-                    let sim = run_sim(p, &opts, |ctx| {
-                        let prep = &ranks[ctx.rank()];
+                    let (outcomes, r) = run_sessions(p, &opts, cells, |ctx, session| {
                         let mut ov = overlays[ctx.rank()].lock().unwrap();
-                        let mut cache = cells[ctx.rank()].lock().unwrap();
-                        let mut session = CacheSession::write(&mut cache, prep.generation);
-                        let out = apply_batch_rank_cached(
-                            ctx,
-                            &prep.local,
-                            &mut ov,
-                            batch,
-                            &cfg,
-                            &mut session,
-                        );
-                        (out, session.finish().report)
+                        let lg = &ranks[ctx.rank()].local;
+                        apply_batch_rank(ctx, lg, &mut ov, batch, &cfg, session).0
                     });
-                    sim.output
-                        .results
-                        .into_iter()
-                        .map(|(o, r)| {
-                            report.absorb(&r);
-                            o
-                        })
-                        .collect()
+                    report.absorb(&r);
+                    outcomes
                 })
                 .collect();
             (outcomes, report)
         };
 
-        let plain = run_plain();
-        let (cached, report) = run_cached();
+        let (plain, _) = run(None);
+        let cells = fresh_cells(p);
+        let (cached, report) = run(Some(&cells));
         for (b, (pb, cb)) in plain.iter().zip(&cached).enumerate() {
             for (rank, (s, t)) in pb.iter().zip(cb).enumerate() {
                 assert_eq!(s.inserted, t.inserted, "batch {b} rank {rank} insertions");
@@ -348,14 +308,10 @@ fn cache_state_is_transport_independent() {
         let cells = fresh_cells(p);
         let mut reports = Vec::new();
         for _ in 0..2 {
-            let (_, _, r) = run_on_cached(
-                DistGraph::new_balanced_vertices(&g, p),
-                alg,
-                &cfg,
-                opts,
-                &cells,
-            )
-            .expect("cached run");
+            let dg = DistGraph::new_balanced_vertices(&g, p);
+            let r = run_count(dg, alg, &cfg, opts, Some(&cells))
+                .expect("cached run")
+                .cache;
             reports.push((r.hits, r.misses, r.words_saved, r.words_shipped, r.staged));
         }
         let state: Vec<(u64, u64)> = cells

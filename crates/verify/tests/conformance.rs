@@ -7,7 +7,7 @@ use tricount_comm::{
     run_sim, Ctx, Fault, MessageQueue, QueueConfig, Routing, SimOptions, Trace, TraceEvent,
 };
 use tricount_core::config::Algorithm;
-use tricount_core::dist::run_on;
+use tricount_core::dist::{run_count, CountRun};
 use tricount_core::seq::compact_forward;
 use tricount_gen::rmat::rmat_default;
 use tricount_graph::dist::DistGraph;
@@ -18,7 +18,9 @@ use tricount_verify::{check_trace, ConformanceReport, Violation};
 /// (invariants 1–4) plus the cost-model meters (invariant 5).
 fn traced_lint(g: &tricount_graph::Csr, p: usize, alg: Algorithm) -> (u64, ConformanceReport) {
     let dg = DistGraph::new_balanced_vertices(g, p);
-    let (res, trace) = run_on(dg, alg, &alg.config(), &SimOptions::traced())
+    let CountRun {
+        result: res, trace, ..
+    } = run_count(dg, alg, &alg.config(), &SimOptions::traced(), None)
         .unwrap_or_else(|e| panic!("{} failed on p={p}: {e}", alg.name()));
     let trace = trace.expect("built with the `trace` feature");
     let mut rep = check_trace(&trace);
@@ -306,7 +308,7 @@ fn all_variants_emit_only_registered_phase_names() {
     let g = rmat_default(8, 13);
     for alg in Algorithm::all() {
         let dg = DistGraph::new_balanced_vertices(&g, 4);
-        let (_, trace) = run_on(dg, alg, &alg.config(), &SimOptions::traced())
+        let CountRun { trace, .. } = run_count(dg, alg, &alg.config(), &SimOptions::traced(), None)
             .unwrap_or_else(|e| panic!("{} failed: {e}", alg.name()));
         let trace = trace.expect("traced");
         let violations = tricount_verify::check_phase_names(&trace, phases::ALL);
@@ -332,11 +334,12 @@ fn mutation_rogue_phase_name_caught() {
     use tricount_core::dist::phases;
     let g = rmat_default(8, 13);
     let dg = DistGraph::new_balanced_vertices(&g, 4);
-    let (_, trace) = run_on(
+    let CountRun { trace, .. } = run_count(
         dg,
         Algorithm::Cetric,
         &Algorithm::Cetric.config(),
         &SimOptions::traced(),
+        None,
     )
     .unwrap();
     let mut trace = trace.expect("traced");

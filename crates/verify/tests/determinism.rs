@@ -7,7 +7,7 @@ use std::time::Duration;
 
 use tricount_comm::{Ctx, MessageQueue, QueueConfig, SimOptions};
 use tricount_core::config::Algorithm;
-use tricount_core::dist::run_on;
+use tricount_core::dist::run_count;
 use tricount_core::seq::compact_forward;
 use tricount_gen::rmat::rmat_default;
 use tricount_graph::dist::DistGraph;
@@ -17,9 +17,9 @@ const SEEDS: [u64; 8] = [1, 2, 3, 5, 8, 13, 21, 34];
 
 fn count_under(g: &tricount_graph::Csr, p: usize, alg: Algorithm, opts: &SimOptions) -> u64 {
     let dg = DistGraph::new_balanced_vertices(g, p);
-    run_on(dg, alg, &alg.config(), opts)
+    run_count(dg, alg, &alg.config(), opts, None)
         .unwrap_or_else(|e| panic!("{} failed on p={p}: {e}", alg.name()))
-        .0
+        .result
         .triangles
 }
 

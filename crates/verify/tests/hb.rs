@@ -10,14 +10,14 @@ use tricount_comm::{SimOptions, Trace, TraceEvent};
 use tricount_core::config::{Algorithm, DistConfig};
 use tricount_core::dist::delta::apply_batch_sim;
 use tricount_core::dist::residency::{build_residency, PreparedRank};
-use tricount_core::dist::run_on;
+use tricount_core::dist::{run_count, CountRun};
 use tricount_delta::{random_batch, Overlay};
 use tricount_graph::dist::DistGraph;
 use tricount_verify::{check_hb, Violation};
 
 fn traced_run(g: &tricount_graph::Csr, p: usize, alg: Algorithm) -> Trace {
     let dg = DistGraph::new_balanced_vertices(g, p);
-    let (_, trace) = run_on(dg, alg, &alg.config(), &SimOptions::traced())
+    let CountRun { trace, .. } = run_count(dg, alg, &alg.config(), &SimOptions::traced(), None)
         .unwrap_or_else(|e| panic!("{} failed on p={p}: {e}", alg.name()));
     trace.expect("built with the `trace` feature")
 }

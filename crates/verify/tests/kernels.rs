@@ -15,7 +15,7 @@ use tricount_comm::stats::Counters;
 use tricount_comm::SimOptions;
 use tricount_core::config::Algorithm;
 use tricount_core::dist::dispatch::DispatchReport;
-use tricount_core::dist::run_on_stats;
+use tricount_core::dist::{run_count, CountRun};
 use tricount_core::seq::compact_forward;
 use tricount_gen::rmat::rmat_default;
 use tricount_graph::dist::DistGraph;
@@ -42,7 +42,11 @@ fn run_with_policy(
     let dg = DistGraph::new_balanced_vertices(g, p);
     let mut cfg = alg.config();
     cfg.kernels = policy;
-    let (res, _trace, dispatch) = run_on_stats(dg, alg, &cfg, opts)
+    let CountRun {
+        result: res,
+        dispatch,
+        ..
+    } = run_count(dg, alg, &cfg, opts, None)
         .unwrap_or_else(|e| panic!("{} failed on p={p}: {e}", alg.name()));
     let phases = res
         .stats

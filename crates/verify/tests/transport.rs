@@ -23,13 +23,15 @@
 use std::sync::Mutex;
 use std::time::Duration;
 
-use tricount_comm::{run_sim, Counters, Routing, RunStats, SimOptions, TransportKind};
+use tricount_comm::{run_guarded, run_sim, Counters, Routing, RunStats, SimOptions, TransportKind};
 use tricount_core::config::{Algorithm, DistConfig};
 use tricount_core::dist::delta::apply_batch_sim;
+use tricount_core::dist::rebalance::count_rebalanced;
 use tricount_core::dist::residency::{build_residency, PreparedRank};
 use tricount_core::dist::support::edge_support_rank;
-use tricount_core::dist::{lcc, run_on, run_on_guarded};
+use tricount_core::dist::{count_rank, lcc, run_count, CountRun};
 use tricount_core::seq::compact_forward;
+use tricount_core::CacheSession;
 use tricount_delta::{random_batch, Overlay};
 use tricount_graph::dist::{DistGraph, LocalGraph};
 use tricount_graph::Csr;
@@ -121,9 +123,15 @@ fn all_variants_bit_equal_across_backends() {
         for alg in Algorithm::all() {
             let cfg = alg.config();
             let run = |opts: &SimOptions| {
-                run_on(DistGraph::new_balanced_vertices(&g, p), alg, &cfg, opts)
-                    .unwrap_or_else(|e| panic!("{} p={p} failed: {e}", alg.name()))
-                    .0
+                run_count(
+                    DistGraph::new_balanced_vertices(&g, p),
+                    alg,
+                    &cfg,
+                    opts,
+                    None,
+                )
+                .unwrap_or_else(|e| panic!("{} p={p} failed: {e}", alg.name()))
+                .result
             };
             let sim = run(&sim_opts());
             let thr = run(&threads_opts());
@@ -177,7 +185,7 @@ fn edge_support_bit_equal_across_backends() {
         let q = queries.clone();
         run_sim(p, opts, |ctx| {
             let lg = cells[ctx.rank()].lock().unwrap().take().unwrap();
-            edge_support_rank(ctx, &lg, &q, &cfg)
+            edge_support_rank(ctx, &lg, &q, &cfg, &mut CacheSession::off()).0
         })
         .output
         .results
@@ -222,6 +230,38 @@ fn delta_update_bit_equal_across_backends() {
     assert_stats_equiv("delta-update", cfg.routing, &sim_stats, &thr_stats);
 }
 
+/// The rebalancing driver honours `DistConfig::transport`: the same
+/// redistribution plus count on both backends gives the same answer and
+/// the same schedule-free meters per rank.
+#[test]
+fn rebalanced_count_bit_equal_across_backends() {
+    let g = fixture();
+    let truth = compact_forward(&g).triangles;
+    for alg in [Algorithm::Ditric, Algorithm::Cetric] {
+        let run = |transport: TransportKind| {
+            let cfg = DistConfig {
+                transport,
+                ..alg.config()
+            };
+            count_rebalanced(&g, 4, alg, &cfg, |d| d)
+                .unwrap_or_else(|e| panic!("{} rebalanced: {e}", alg.name()))
+        };
+        let sim = run(TransportKind::Sim);
+        let thr = run(TransportKind::Threads);
+        assert_eq!(sim.triangles, truth, "{} sim miscounted", alg.name());
+        assert_eq!(thr.triangles, truth, "{} threads miscounted", alg.name());
+        let meters = |stats: &RunStats| -> Vec<_> {
+            totals_per_rank(stats).iter().map(schedule_free).collect()
+        };
+        assert_eq!(
+            meters(&sim.stats),
+            meters(&thr.stats),
+            "{}: rebalanced meters diverged",
+            alg.name()
+        );
+    }
+}
+
 /// A panicking PE on the threads backend poisons the transport and takes
 /// the whole run down *promptly* — the supervisor re-raises instead of
 /// leaking sibling rank threads spinning at a barrier.
@@ -247,16 +287,21 @@ fn threads_backend_panic_shuts_down_cleanly() {
 fn run_guarded_on_threads_backend() {
     let g = fixture();
     let truth = compact_forward(&g).triangles;
-    let cfg = Algorithm::Cetric.config();
-    let r = run_on_guarded(
-        DistGraph::new_balanced_vertices(&g, 4),
-        Algorithm::Cetric,
-        &cfg,
-        &threads_opts(),
-        Duration::from_secs(30),
-    )
+    let alg = Algorithm::Cetric;
+    let cfg = alg.config();
+    let cells: Vec<Mutex<Option<LocalGraph>>> = DistGraph::new_balanced_vertices(&g, 4)
+        .into_locals()
+        .into_iter()
+        .map(|l| Mutex::new(Some(l)))
+        .collect();
+    let out = run_guarded(4, &threads_opts(), Duration::from_secs(30), move |ctx| {
+        let lg = cells[ctx.rank()].lock().unwrap().take().unwrap();
+        count_rank(ctx, lg, alg, &cfg, &mut CacheSession::off())
+    })
     .expect("guarded threads run");
-    assert_eq!(r.triangles, truth);
+    for (rank, r) in out.output.results.into_iter().enumerate() {
+        assert_eq!(r.expect("count").0, truth, "rank {rank}");
+    }
 }
 
 /// A traced threads-backend run is causally consistent: every receive
@@ -272,11 +317,12 @@ fn threads_backend_trace_is_hb_consistent() {
         ..SimOptions::traced()
     };
     for alg in [Algorithm::Ditric, Algorithm::Cetric2] {
-        let (_, trace) = run_on(
+        let CountRun { trace, .. } = run_count(
             DistGraph::new_balanced_vertices(&g, 4),
             alg,
             &alg.config(),
             &opts,
+            None,
         )
         .unwrap_or_else(|e| panic!("{} failed: {e}", alg.name()));
         let trace = trace.expect("built with the `trace` feature");
@@ -292,11 +338,12 @@ fn threads_backend_trace_is_hb_consistent() {
 fn threads_backend_reports_wall_alongside_modeled() {
     let g = fixture();
     let cfg = Algorithm::Ditric.config();
-    let (r, _) = run_on(
+    let CountRun { result: r, .. } = run_count(
         DistGraph::new_balanced_vertices(&g, 4),
         Algorithm::Ditric,
         &cfg,
         &threads_opts(),
+        None,
     )
     .expect("threads run");
     assert!(

@@ -8,7 +8,7 @@
 
 use tricount_comm::{Counters, Routing, RunStats, SimOptions, TransportKind};
 use tricount_core::config::Algorithm;
-use tricount_core::dist::{run_on, run_on_profiled};
+use tricount_core::dist::{run_count, CountRun};
 use tricount_core::seq::compact_forward;
 use tricount_graph::dist::DistGraph;
 use tricount_graph::Csr;
@@ -102,22 +102,24 @@ fn profiling_does_not_perturb_any_variant() {
         for alg in Algorithm::all() {
             let cfg = alg.config();
             let label = format!("{} p={p}", alg.name());
-            let plain = run_on(
+            let plain = run_count(
                 DistGraph::new_balanced_vertices(&g, p),
                 alg,
                 &cfg,
                 &threads_opts(),
+                None,
             )
             .unwrap_or_else(|e| panic!("{label} (plain) failed: {e}"))
-            .0;
-            let prof = run_on(
+            .result;
+            let prof = run_count(
                 DistGraph::new_balanced_vertices(&g, p),
                 alg,
                 &cfg,
                 &profiled_opts(),
+                None,
             )
             .unwrap_or_else(|e| panic!("{label} (profiled) failed: {e}"))
-            .0;
+            .result;
             assert_eq!(plain.triangles, truth, "{label}: plain miscounted");
             assert_eq!(prof.triangles, truth, "{label}: profiled miscounted");
             assert_stats_equiv(&label, cfg.routing, &plain.stats, &prof.stats);
@@ -148,11 +150,14 @@ fn profiling_does_not_perturb_any_variant() {
 fn wall_timeline_matches_flows() {
     let g = fixture();
     let alg = Algorithm::Cetric;
-    let (r, _, _, wall) = run_on_profiled(
+    let CountRun {
+        result: r, wall, ..
+    } = run_count(
         DistGraph::new_balanced_vertices(&g, 4),
         alg,
         &alg.config(),
         &profiled_opts(),
+        None,
     )
     .expect("profiled run");
     let wall = wall.expect("threads + wall_profile must yield a profile");
@@ -200,11 +205,14 @@ fn ring_overflow_drops_events_never_stalls() {
         wall_ring_capacity: 4,
         ..SimOptions::on(TransportKind::Threads)
     };
-    let (r, _, _, wall) = run_on_profiled(
+    let CountRun {
+        result: r, wall, ..
+    } = run_count(
         DistGraph::new_balanced_vertices(&g, 4),
         alg,
         &alg.config(),
         &opts,
+        None,
     )
     .expect("overflowing profiled run still completes");
     assert_eq!(r.triangles, truth, "overflow must not affect the count");
@@ -220,14 +228,15 @@ fn ring_overflow_drops_events_never_stalls() {
     // the timeline degrades to unmatched flows, not an error
     let t = WallTimeline::build(&wall);
     assert_eq!(t.events_dropped, wall.events_dropped());
-    let plain = run_on(
+    let plain = run_count(
         DistGraph::new_balanced_vertices(&g, 4),
         alg,
         &alg.config(),
         &threads_opts(),
+        None,
     )
     .expect("plain run")
-    .0;
+    .result;
     assert_stats_equiv(
         "overflowing ring",
         alg.config().routing,

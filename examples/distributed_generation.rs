@@ -10,7 +10,8 @@
 //! ```
 
 use cetric::comm;
-use cetric::core::dist::cetric as cetric_alg;
+use cetric::core::dist::count_rank;
+use cetric::core::CacheSession;
 use cetric::gen::distributed::{rgg2d_distributed, RggLayout};
 use cetric::prelude::*;
 
@@ -34,7 +35,9 @@ fn main() {
             let (_part, lg) = rgg2d_distributed(&layout, p, ctx.rank(), seed);
             let m_local = lg.num_local_entries();
             ctx.end_phase("generate");
-            let triangles = cetric_alg::run_rank(ctx, lg, &cfg);
+            let (triangles, _) =
+                count_rank(ctx, lg, Algorithm::Cetric, &cfg, &mut CacheSession::off())
+                    .expect("CETRIC has no memory limit");
             (triangles, m_local)
         });
         let triangles = out.results[0].0;

@@ -29,9 +29,10 @@ fn main() {
         record_trace: true,
         ..SimOptions::default()
     };
-    let (r, trace) =
-        cetric::core::dist::run_on(dg, alg, &alg.config(), &opts).expect("run succeeds");
-    let trace = trace.expect("built with the trace feature");
+    let run =
+        cetric::core::dist::run_count(dg, alg, &alg.config(), &opts, None).expect("run succeeds");
+    let r = run.result;
+    let trace = run.trace.expect("built with the trace feature");
     println!(
         "{} on {p} PEs: {} triangles, modeled {:.3} ms, makespan {:.3} ms",
         alg.name(),

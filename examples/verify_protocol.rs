@@ -9,8 +9,8 @@
 
 use std::time::Duration;
 
-use cetric::core::dist::run_on;
-use cetric::core::seq;
+use cetric::core::dist::{count_rank, run_count};
+use cetric::core::{seq, CacheSession};
 use cetric::prelude::*;
 use tricount_comm::{run_guarded, Ctx, SimOptions};
 use tricount_graph::dist::DistGraph;
@@ -35,10 +35,10 @@ fn main() {
     let p = 16;
     let alg = Algorithm::Cetric2;
     let dg = DistGraph::new_balanced_vertices(&g, p);
-    let (result, trace) =
-        run_on(dg, alg, &alg.config(), &SimOptions::traced()).expect("run failed");
+    let run = run_count(dg, alg, &alg.config(), &SimOptions::traced(), None).expect("run failed");
+    let result = run.result;
     assert_eq!(result.triangles, truth);
-    let trace = trace.expect("built with the `trace` feature");
+    let trace = run.trace.expect("built with the `trace` feature");
     let mut report = check_trace(&trace);
     report
         .violations
@@ -55,7 +55,9 @@ fn main() {
         check_schedule_independence(4, &seeds, &SimOptions::default(), move |ctx: &mut Ctx| {
             let dg = DistGraph::new_balanced_vertices(&g2, ctx.num_ranks());
             let lg = dg.into_locals().swap_remove(ctx.rank());
-            cetric::core::dist::ditric::run_rank(ctx, lg, &Algorithm::Ditric.config())
+            let cfg = Algorithm::Ditric.config();
+            let counted = count_rank(ctx, lg, Algorithm::Ditric, &cfg, &mut CacheSession::off());
+            counted.expect("DITRIC has no memory limit").0
         });
     match verdict {
         Ok(results) => println!(

@@ -3,8 +3,9 @@
 //! timed runs and the communication-free generation pipeline — all checked
 //! against each other end to end.
 
-use cetric::core::dist::{enumerate, matrix2d};
-use cetric::core::{sampling, seq};
+use cetric::comm::SimOptions;
+use cetric::core::dist::{count_rank, enumerate, matrix2d, run_count};
+use cetric::core::{sampling, seq, CacheSession};
 use cetric::gen::distributed::{rgg2d_distributed, RggLayout};
 use cetric::graph::compressed::CompressedCsr;
 use cetric::prelude::*;
@@ -76,7 +77,9 @@ fn communication_free_generation_feeds_the_counter() {
     let cfg = DistConfig::default();
     let out = cetric::comm::run(p, |ctx| {
         let (_part, lg) = rgg2d_distributed(&layout, p, ctx.rank(), 33);
-        cetric::core::dist::cetric::run_rank(ctx, lg, &cfg)
+        count_rank(ctx, lg, Algorithm::Cetric, &cfg, &mut CacheSession::off())
+            .expect("CETRIC has no memory limit")
+            .0
     });
     let distributed_count = out.results[0];
     assert!(out.results.iter().all(|&t| t == distributed_count));
@@ -104,7 +107,13 @@ fn timed_and_untimed_runs_count_identically() {
     let cost = CostModel::cloud();
     for alg in [Algorithm::Ditric2, Algorithm::Cetric] {
         let dg = DistGraph::new_balanced_vertices(&g, 8);
-        let timed = cetric::core::dist::run_on_timed(dg, alg, &alg.config(), cost).unwrap();
+        let opts = SimOptions {
+            timing: Some(cost),
+            ..SimOptions::default()
+        };
+        let timed = run_count(dg, alg, &alg.config(), &opts, None)
+            .unwrap()
+            .result;
         let untimed = count(&g, 8, alg).unwrap();
         assert_eq!(timed.triangles, untimed.triangles);
         assert!(timed.stats.makespan() > 0.0);

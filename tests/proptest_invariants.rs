@@ -118,7 +118,10 @@ proptest! {
     fn edge_balanced_partitions_count_correctly(g in arb_graph(), p in 1usize..5) {
         let truth = seq::brute_force_count(&g);
         let dg = DistGraph::new_balanced_edges(&g, p);
-        let r = cetric::core::run_on_default(dg, Algorithm::Cetric, &Algorithm::Cetric.config()).unwrap();
+        let cfg = Algorithm::Cetric.config();
+        let r = cetric::core::run_count(dg, Algorithm::Cetric, &cfg, &Default::default(), None)
+            .unwrap()
+            .result;
         prop_assert_eq!(r.triangles, truth);
     }
 
