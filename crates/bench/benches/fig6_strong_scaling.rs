@@ -54,6 +54,7 @@ fn main() {
                         ),
                         Err(DistError::OutOfMemory { .. }) => "OOM".to_string(),
                         Err(DistError::Deadlock { .. }) => "DEADLOCK".to_string(),
+                        Err(DistError::RankPanicked { .. }) => "PANIC".to_string(),
                     }
                 })
                 .collect();

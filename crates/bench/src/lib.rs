@@ -206,6 +206,7 @@ pub fn run_cell(g: &Csr, p: usize, alg: Algorithm, model: &CostModel) -> String 
         Err(e) => match e {
             DistError::OutOfMemory { .. } => "OOM".to_string(),
             DistError::Deadlock { .. } => "DEADLOCK".to_string(),
+            DistError::RankPanicked { .. } => "PANIC".to_string(),
         },
     }
 }

@@ -506,7 +506,7 @@ mod tests {
         flatten_json(&format!(
             "{{\"benchmark\":\"transport\",\"scale\":\"quick\",\"results\":{{\
              \"transport/p4_modeled_seconds\":{modeled},\
-             \"transport/p4_threads_wall_seconds\":{wall},\
+             \"transport/p4_wall_seconds\":{wall},\
              \"transport/measured_speedup_1_to_4\":{speedup},\
              \"transport/triangles\":42}}}}"
         ))
@@ -536,7 +536,7 @@ mod tests {
             KeyClass::Deterministic
         );
         assert_eq!(
-            classify("transport/p4_threads_wall_seconds"),
+            classify("transport/p4_wall_seconds"),
             KeyClass::LowerIsBetter
         );
         assert_eq!(

@@ -5,7 +5,7 @@
 
 use std::sync::Mutex;
 
-use tricount_comm::{CostModel, Routing, SimOptions, TransportKind};
+use tricount_comm::{CostModel, Routing, SimOptions};
 use tricount_core::dist::{enumerate, lcc, run_count, CountRun};
 use tricount_core::{seq, Aggregation, Algorithm, CacheConfig, CacheReport, DistConfig, RankCache};
 use tricount_gen::{Dataset, Family};
@@ -76,8 +76,6 @@ pub enum Command {
         p: usize,
         /// How many extreme vertices to print.
         top: usize,
-        /// Data plane carrying the run.
-        transport: TransportKind,
         /// Remote-adjacency cache budget in words (`None` = cache off).
         cache_budget: Option<u64>,
     },
@@ -89,8 +87,6 @@ pub enum Command {
         p: usize,
         /// Print at most this many triples.
         limit: usize,
-        /// Data plane carrying the run.
-        transport: TransportKind,
     },
     /// Print instance statistics.
     Info {
@@ -112,8 +108,6 @@ pub enum Command {
         json: bool,
         /// Write the engine's Prometheus text exposition here after serving.
         metrics_out: Option<String>,
-        /// Data plane carrying the engine's runs.
-        transport: TransportKind,
         /// Remote-adjacency cache budget in words (`None` = cache off).
         cache_budget: Option<u64>,
         /// Serve this many tenants behind one `EngineHost` (1 = plain
@@ -137,8 +131,6 @@ pub enum Command {
         batch: String,
         /// Print the machine-readable stats snapshot after applying.
         json: bool,
-        /// Data plane carrying the engine's runs.
-        transport: TransportKind,
         /// Remote-adjacency cache budget in words (`None` = cache off).
         cache_budget: Option<u64>,
     },
@@ -168,8 +160,8 @@ pub enum Command {
         model: CostModel,
         /// Config overrides.
         config: DistConfig,
-        /// Write a Chrome-trace / Perfetto JSON file here. On the threads
-        /// transport this becomes a dual-clock export (modeled + measured).
+        /// Write a dual-clock (modeled + measured) Chrome-trace / Perfetto
+        /// JSON file here.
         chrome_trace: Option<String>,
         /// Print the per-phase modeled/wall breakdown and span summary.
         phase_report: bool,
@@ -280,16 +272,6 @@ fn resolve_calibration(explicit: Option<String>, source: &Source) -> Option<Stri
         }
     }
     None
-}
-
-/// Parses the `--transport` override (absent = [`TransportKind::Sim`]).
-fn parse_transport(s: Option<&str>) -> Result<TransportKind, String> {
-    match s {
-        None => Ok(TransportKind::Sim),
-        Some(t) => {
-            TransportKind::parse(t).ok_or_else(|| format!("unknown transport {t:?} (sim|threads)"))
-        }
-    }
 }
 
 fn parse_algorithm(s: &str) -> Result<Option<Algorithm>, String> {
@@ -406,7 +388,6 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
                 };
             }
             apply_kernel_opts(&mut config, get("kernel"), get("pool-workers"))?;
-            config.transport = parse_transport(get("transport"))?;
             let model = match get("model").unwrap_or("supermuc") {
                 "supermuc" => CostModel::supermuc(),
                 "cloud" => CostModel::cloud(),
@@ -427,14 +408,12 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
             source,
             p,
             top: parse_u64("top", 10)? as usize,
-            transport: parse_transport(get("transport"))?,
             cache_budget: parse_opt_u64("cache-budget")?,
         }),
         "enumerate" => Ok(Command::Enumerate {
             source,
             p,
             limit: parse_u64("limit", 20)? as usize,
-            transport: parse_transport(get("transport"))?,
         }),
         "info" => Ok(Command::Info { source }),
         "serve" => Ok(Command::Serve {
@@ -444,7 +423,6 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
             seed: parse_u64("workload-seed", 42)?,
             json: get("json").is_some_and(|v| v == "true" || v == "1"),
             metrics_out: get("metrics-out").map(|v| v.to_string()),
-            transport: parse_transport(get("transport"))?,
             cache_budget: parse_opt_u64("cache-budget")?,
             tenants: (parse_u64("tenants", 1)? as usize).max(1),
             updates: parse_u64("updates", 0)? as usize,
@@ -457,7 +435,6 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
                 .ok_or("update needs --batch FILE (`+ u v` / `- u v` lines)")?
                 .to_string(),
             json: get("json").is_some_and(|v| v == "true" || v == "1"),
-            transport: parse_transport(get("transport"))?,
             cache_budget: parse_opt_u64("cache-budget")?,
         }),
         "check" => {
@@ -489,7 +466,6 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
                 };
             }
             apply_kernel_opts(&mut config, get("kernel"), get("pool-workers"))?;
-            config.transport = parse_transport(get("transport"))?;
             let model = match get("model").unwrap_or("supermuc") {
                 "supermuc" => CostModel::supermuc(),
                 "cloud" => CostModel::cloud(),
@@ -515,7 +491,7 @@ fn usage() -> String {
     "usage: tricount <generate|count|lcc|enumerate|info|serve|update|profile|check> \
      [--input FILE | --family gnm|rgg2d|rhg|rmat | --dataset NAME] \
      [--n N] [--seed S] [--p P] [--alg A] [--model supermuc|cloud] \
-     [--routing direct|grid] [--delta-factor F] [--transport sim|threads] \
+     [--routing direct|grid] [--delta-factor F] \
      [--kernel auto|merge|gallop|binary|bitmap] [--pool-workers N] \
      [--top K] [--limit K] \
      [--queries Q] [--workload-seed S] [--batch UPDATES.txt] [--json 1] \
@@ -635,14 +611,10 @@ pub fn execute(cmd: Command) -> Result<(), String> {
             source,
             p,
             top,
-            transport,
             cache_budget,
         } => {
             let g = load_source(&source)?;
-            let mut cfg = DistConfig {
-                transport,
-                ..DistConfig::default()
-            };
+            let mut cfg = DistConfig::default();
             let caches = cache_budget.map(|budget| {
                 cfg.cache = CacheConfig::with_budget(budget);
                 cache_cells(&cfg, p)
@@ -669,17 +641,9 @@ pub fn execute(cmd: Command) -> Result<(), String> {
                 );
             }
         }
-        Command::Enumerate {
-            source,
-            p,
-            limit,
-            transport,
-        } => {
+        Command::Enumerate { source, p, limit } => {
             let g = load_source(&source)?;
-            let cfg = DistConfig {
-                transport,
-                ..DistConfig::default()
-            };
+            let cfg = DistConfig::default();
             let tris = enumerate::enumerate(&g, p, &cfg);
             println!("{} triangles", tris.len());
             for (a, b, c) in tris.iter().take(limit) {
@@ -712,7 +676,6 @@ pub fn execute(cmd: Command) -> Result<(), String> {
             p,
             batch,
             json,
-            transport,
             cache_budget,
         } => {
             use tricount_delta::parse_batches;
@@ -727,7 +690,6 @@ pub fn execute(cmd: Command) -> Result<(), String> {
             if let Some(budget) = cache_budget {
                 ecfg = ecfg.with_cache_budget(budget);
             }
-            ecfg.dist.transport = transport;
             let engine = Engine::build(&g, ecfg);
             println!(
                 "resident count before updates: {} (epoch {})",
@@ -821,12 +783,10 @@ pub fn execute(cmd: Command) -> Result<(), String> {
             };
             let g = load_source(&source)?;
             let dg = DistGraph::new_balanced_vertices(&g, p);
-            // the threads backend has a wall clock worth measuring; the
-            // simulator's schedule is a deterministic fiction
             let opts = SimOptions {
                 timing: Some(model),
                 record_trace: true,
-                wall_profile: config.transport == TransportKind::Threads,
+                wall_profile: true,
                 ..SimOptions::default()
             };
             let CountRun {
@@ -913,7 +873,6 @@ pub fn execute(cmd: Command) -> Result<(), String> {
             seed,
             json,
             metrics_out,
-            transport,
             cache_budget,
             tenants,
             updates,
@@ -925,7 +884,6 @@ pub fn execute(cmd: Command) -> Result<(), String> {
             if let Some(budget) = cache_budget {
                 ecfg = ecfg.with_cache_budget(budget);
             }
-            ecfg.dist.transport = transport;
             if tenants > 1 || updates > 0 {
                 return serve_host(
                     &g,
@@ -1032,12 +990,11 @@ fn serve_host(
     host_workers: usize,
 ) -> Result<(), String> {
     use tricount_delta::random_batch;
-    use tricount_engine::{
-        scripted_workload, EngineHost, HostConfig, HostError, HostReply, HostRequest,
-    };
+    use tricount_engine::{scripted_workload, EngineHost, HostConfig, HostReply, HostRequest};
     let mut hcfg = HostConfig::new();
     hcfg.pool_workers = ecfg.workers;
     hcfg.serve_workers = host_workers;
+    // Quotas that admit the whole script: no submission is ever Overloaded.
     hcfg.tenant_quota = hcfg.tenant_quota.max(queries / tenants.max(1) + 1);
     hcfg.global_inflight = hcfg.global_inflight.max(queries + tenants);
     let host = EngineHost::new(hcfg);
@@ -1059,24 +1016,11 @@ fn serve_host(
             .map_err(|e| e.to_string())?;
             sent_updates += 1;
         }
-        loop {
-            match host.submit(HostRequest::Query {
-                tenant: names[i % tenants].clone(),
-                query: q.clone(),
-            }) {
-                Ok(_) => break,
-                // closed loop: drain under backpressure, resubmit. When
-                // every job is already on a serve worker the queue is
-                // empty and drain() is a no-op — back off instead of
-                // spinning hot until a worker frees budget.
-                Err(HostError::Overloaded { .. }) => {
-                    if host.drain() == 0 {
-                        std::thread::sleep(std::time::Duration::from_millis(1));
-                    }
-                }
-                Err(e) => return Err(e.to_string()),
-            }
-        }
+        host.submit(HostRequest::Query {
+            tenant: names[i % tenants].clone(),
+            query: q,
+        })
+        .map_err(|e| e.to_string())?;
     }
     handle.stop();
     host.drain();
@@ -1236,39 +1180,12 @@ mod tests {
         assert!(parse(&args("count --family gnm --alg nope")).is_err());
         assert!(parse(&args("generate --input x.txt -o y.txt")).is_err());
         assert!(parse(&args("count --family gnm --model dialup")).is_err());
-        assert!(parse(&args("count --family gnm --transport carrier-pigeon")).is_err());
         assert!(parse(&[]).is_err());
-    }
-
-    #[test]
-    fn parse_transport_override() {
-        let cmd = parse(&args("count --family gnm --transport threads")).unwrap();
-        match cmd {
-            Command::Count { config, .. } => {
-                assert_eq!(config.transport, TransportKind::Threads)
-            }
-            _ => panic!("wrong command"),
-        }
-        // default stays on the simulator
-        let cmd = parse(&args("lcc --family gnm")).unwrap();
-        match cmd {
-            Command::Lcc { transport, .. } => assert_eq!(transport, TransportKind::Sim),
-            _ => panic!("wrong command"),
-        }
     }
 
     #[test]
     fn execute_count_on_generated_graph() {
         let cmd = parse(&args("count --family rgg2d --n 512 --p 4 --alg cetric")).unwrap();
-        execute(cmd).unwrap();
-    }
-
-    #[test]
-    fn execute_count_on_threads_transport() {
-        let cmd = parse(&args(
-            "count --family rgg2d --n 512 --p 4 --alg cetric --transport threads",
-        ))
-        .unwrap();
         execute(cmd).unwrap();
     }
 
@@ -1395,7 +1312,7 @@ mod tests {
         let trace_path = dir.join("tricount_cli_profile_dual.json");
         let prom_path = dir.join("tricount_cli_profile_dual.prom");
         let cmd = parse(&args(&format!(
-            "profile --family rgg2d --n 512 --p 4 --alg cetric --transport threads \
+            "profile --family rgg2d --n 512 --p 4 --alg cetric \
              --chrome-trace {} --metrics-out {}",
             trace_path.display(),
             prom_path.display()

@@ -57,8 +57,8 @@ impl CostModel {
         }
     }
 
-    /// A model built from *measured* parameters of the host the threads
-    /// transport runs on. Feed it the α/β estimates emitted by the
+    /// A model built from *measured* parameters of the host the transport
+    /// runs on. Feed it the α/β estimates emitted by the
     /// `tricount-pingpong` probe (`alpha_seconds`,
     /// `beta_seconds_per_word`) — and, optionally, a measured per-comparison
     /// cost — so modeled times and wall clock are finally in the same

@@ -43,8 +43,8 @@ pub use grid::Grid;
 pub use queue::Fault;
 pub use queue::{Envelope, MessageQueue, QueueConfig, Routing, HEADER_WORDS};
 pub use runtime::{
-    run, run_guarded, run_sim, run_timed, Ctx, DeadlockReport, DeliveryPick, PeSnapshot, RunOutput,
-    SimOptions, SimOutput, TransportKind,
+    run, run_guarded, run_sim, run_timed, Ctx, DeadlockReport, DeliveryPick, PeSnapshot, RunError,
+    RunOutput, SimOptions, SimOutput,
 };
 pub use stats::{Counters, PhaseStats, RunStats};
 pub use trace::{hash_words, CollKind, SpanKind, SpanRecord, SpanStamp, Trace, TraceEvent};

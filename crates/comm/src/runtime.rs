@@ -1,6 +1,6 @@
 //! The distributed machine: `p` logical PEs running as threads, exchanging
-//! messages through a pluggable transport (`tricount-net`), with every
-//! communication action metered (see [`crate::stats`]).
+//! messages through the shared-memory data plane of `tricount-net`, with
+//! every communication action metered (see [`crate::stats`]).
 //!
 //! A [`run`] call plays the role of `mpirun`: it spawns one thread
 //! per PE, hands each a [`Ctx`] (the communicator), runs the given rank
@@ -9,18 +9,11 @@
 //! formulas, so modeled times match what a real MPI implementation of the
 //! paper's algorithms would pay.
 //!
-//! All protocol code talks to the data plane through the
-//! [`Endpoint`](tricount_net::Endpoint) trait; [`SimOptions::transport`]
-//! selects the backend:
-//!
-//! * [`TransportKind::Sim`] (default) — the metered simulator data plane,
-//!   the substrate of the determinism/conformance/model-checking
-//!   harnesses;
-//! * [`TransportKind::Threads`] — a real parallel backend (per-pair SPSC
-//!   queues, spin barrier). The modeled meters keep running unchanged —
-//!   counts and counters match the simulator — while the recorded per-phase
-//!   **wall clock** ([`crate::PhaseStats::wall_per_rank`]) becomes honest
-//!   parallel time instead of simulator overhead.
+//! Each PE owns one [`Endpoint`](tricount_net::Endpoint) of the data
+//! plane (per-pair SPSC queues, a blocking poisoning barrier). The PEs run
+//! in real parallel, so the recorded per-phase **wall clock**
+//! ([`crate::PhaseStats::wall_per_rank`]) is honest parallel time, while
+//! the modeled meters stay a function of the protocol alone.
 //!
 //! Beyond the plain [`run`]/[`run_timed`] entry points, the runtime supports
 //! the verification harness of the `tricount-verify` crate through
@@ -43,7 +36,6 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use tricount_net::Endpoint;
-pub use tricount_net::TransportKind;
 
 use crate::cost::{ceil_log2, CostModel};
 use crate::stats::{Counters, PhaseStats, RunStats};
@@ -143,12 +135,6 @@ pub trait DeliveryPick: Send + Sync {
 /// Options of a run beyond the rank program itself.
 #[derive(Clone, Default)]
 pub struct SimOptions {
-    /// Which data plane carries the run's communication. The default
-    /// [`TransportKind::Sim`] keeps the metered simulator semantics;
-    /// [`TransportKind::Threads`] executes the same protocol in real
-    /// parallel over shared memory (identical counts and comm meters,
-    /// honest wall clock).
-    pub transport: TransportKind,
     /// Enable the overlap-aware simulated clock under this cost model.
     pub timing: Option<CostModel>,
     /// Record a [`Trace`] (requires the `trace` cargo feature; without it
@@ -160,21 +146,19 @@ pub struct SimOptions {
     /// Externally controlled message delivery order (model checking);
     /// overrides `perturb_seed` for delivery decisions when set.
     pub delivery: Option<Arc<dyn DeliveryPick>>,
-    /// Wall-clock profile the transport (threads backend only): per-PE
-    /// event rings and contention meters, drained into
-    /// [`SimOutput::wall`] and summarised on [`RunStats::contention`].
-    /// Strictly observational — the modeled meters are bit-identical with
-    /// this on or off. No effect on the sim backend.
+    /// Wall-clock profile the transport: per-PE event rings and
+    /// contention meters, drained into [`SimOutput::wall`] and summarised
+    /// on [`RunStats::contention`]. Strictly observational — the modeled
+    /// meters are bit-identical with this on or off.
     pub wall_profile: bool,
     /// Per-PE event-ring capacity for `wall_profile` runs; 0 selects the
-    /// backend default. Overflow degrades to a counted drop.
+    /// transport default. Overflow degrades to a counted drop.
     pub wall_ring_capacity: usize,
 }
 
 impl std::fmt::Debug for SimOptions {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SimOptions")
-            .field("transport", &self.transport)
             .field("timing", &self.timing)
             .field("record_trace", &self.record_trace)
             .field("perturb_seed", &self.perturb_seed)
@@ -202,18 +186,9 @@ impl SimOptions {
         }
     }
 
-    /// Options running on the given transport backend.
-    pub fn on(transport: TransportKind) -> Self {
-        SimOptions {
-            transport,
-            ..SimOptions::default()
-        }
-    }
-
-    /// Options for a wall-profiled threads run.
+    /// Options for a wall-profiled run.
     pub fn wall_profiled() -> Self {
         SimOptions {
-            transport: TransportKind::Threads,
             wall_profile: true,
             ..SimOptions::default()
         }
@@ -235,8 +210,8 @@ fn splitmix(state: &mut u64) -> u64 {
 pub struct Ctx<'s> {
     rank: usize,
     pub(crate) shared: &'s Shared,
-    /// This rank's handle on the data plane (sim or threads backend).
-    endpoint: Box<dyn Endpoint>,
+    /// This rank's handle on the data plane.
+    endpoint: Endpoint,
     counters: Counters,
     phases: Vec<PhaseRecord>,
     sent_peer_seen: Vec<bool>,
@@ -283,12 +258,6 @@ impl<'s> Ctx<'s> {
     #[inline]
     pub fn num_ranks(&self) -> usize {
         self.shared.p
-    }
-
-    /// Which transport backend carries this run's communication.
-    #[inline]
-    pub fn transport(&self) -> TransportKind {
-        self.endpoint.kind()
     }
 
     /// Read access to the running counters.
@@ -584,7 +553,7 @@ impl<'s> Ctx<'s> {
     /// waiting unless an enclosing collective already claimed the slot, so
     /// a PE stuck in a bare sync (e.g. the end-of-run phase barrier) is
     /// diagnosable by the deadlock watchdog.
-    pub(crate) fn barrier_uncharged(&self) {
+    pub(crate) fn barrier_uncharged(&mut self) {
         self.beat();
         let st = &self.shared.op_state[self.rank];
         let prev = st.load(Ordering::Relaxed);
@@ -778,7 +747,7 @@ pub struct SimOutput<R> {
     /// The recorded trace, if any.
     pub trace: Option<Trace>,
     /// The drained wall-clock profile of a [`SimOptions::wall_profile`]
-    /// threads run, if any.
+    /// run, if any.
     pub wall: Option<tricount_net::WallProfile>,
 }
 
@@ -789,7 +758,7 @@ type RankOutcome<R> = (R, Vec<PhaseRecord>, Vec<TraceEvent>, Vec<SpanRecord>);
 fn drive_rank<R, F>(
     rank: usize,
     shared: &Shared,
-    endpoint: Box<dyn Endpoint>,
+    endpoint: Endpoint,
     opts: &SimOptions,
     f: &F,
 ) -> RankOutcome<R>
@@ -837,7 +806,7 @@ where
 
 /// Assembles per-rank outcomes into a [`SimOutput`]; all ranks must agree on
 /// the phase sequence. `wall` is the drained wall profile of a profiled
-/// threads run (every rank thread must already be joined).
+/// run (every rank thread must already be joined).
 fn assemble<R>(
     p: usize,
     outcomes: Vec<RankOutcome<R>>,
@@ -965,8 +934,17 @@ where
     .output
 }
 
-/// Runs `f` on `p` PEs under the given [`SimOptions`] (transport backend,
-/// timing, trace recording, schedule perturbation).
+/// Builds the data plane a run under `opts` executes on.
+fn plane_for(p: usize, opts: &SimOptions) -> (Vec<Endpoint>, tricount_net::Plane) {
+    tricount_net::endpoints(p, opts.wall_profile.then_some(opts.wall_ring_capacity))
+}
+
+/// Runs `f` on `p` PEs under the given [`SimOptions`] (timing, trace
+/// recording, schedule perturbation, wall profile).
+///
+/// A panicking rank poisons the data plane, so its siblings fail fast;
+/// once every rank thread is joined, the failed rank's original panic is
+/// re-raised.
 pub fn run_sim<R, F>(p: usize, opts: &SimOptions, f: F) -> SimOutput<R>
 where
     R: Send,
@@ -974,11 +952,7 @@ where
 {
     assert!(p > 0, "need at least one PE");
     let shared = make_shared(p);
-    let (endpoints, collector) = if opts.wall_profile {
-        tricount_net::endpoints_profiled(opts.transport, p, opts.wall_ring_capacity)
-    } else {
-        (tricount_net::endpoints(opts.transport, p), None)
-    };
+    let (endpoints, plane) = plane_for(p, opts);
     let mut outcomes: Vec<RankOutcome<R>> = Vec::with_capacity(p);
     std::thread::scope(|scope| {
         let mut handles = Vec::with_capacity(p);
@@ -991,25 +965,50 @@ where
         // Join everything before re-raising a panic: unwinding out of the
         // scope with threads still running would panic a second time in the
         // scope's implicit join (process abort).
-        let mut first_panic: Option<Box<dyn std::any::Any + Send>> = None;
-        for h in handles {
+        let mut panics: Vec<(usize, PanicPayload)> = Vec::new();
+        for (rank, h) in handles.into_iter().enumerate() {
             match h.join() {
                 Ok(outcome) => outcomes.push(outcome),
-                Err(payload) => {
-                    if first_panic.is_none() {
-                        first_panic = Some(payload);
-                    }
-                }
+                Err(payload) => panics.push((rank, payload)),
             }
         }
-        if let Some(payload) = first_panic {
+        if let Some((_, payload)) = original_panic(&plane, panics) {
             std::panic::resume_unwind(payload);
         }
     });
     // Every rank thread is joined: the endpoints have dropped and each PE's
     // wall log (if profiling) has been deposited.
-    let wall = collector.map(tricount_net::WallCollector::drain);
-    assemble(p, outcomes, opts.record_trace, wall)
+    assemble(p, outcomes, opts.record_trace, plane.drain_wall())
+}
+
+/// A panic payload as caught by `join`/`catch_unwind`.
+type PanicPayload = Box<dyn std::any::Any + Send>;
+
+/// Picks the original failure out of a run's rank panics: the rank the
+/// plane's poison names (its siblings only panicked because of it), else
+/// the lowest panicked rank.
+fn original_panic(
+    plane: &tricount_net::Plane,
+    mut panics: Vec<(usize, PanicPayload)>,
+) -> Option<(usize, PanicPayload)> {
+    let first = plane.first_panicked();
+    let at = panics
+        .iter()
+        .position(|(rank, _)| Some(*rank) == first)
+        .unwrap_or(0);
+    (at < panics.len()).then(|| panics.swap_remove(at))
+}
+
+/// Renders a panic payload's message (`&str`/`String` payloads; anything
+/// else is reported as opaque).
+fn panic_message(payload: &PanicPayload) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_string()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "non-string panic payload".to_string()
+    }
 }
 
 /// One PE's state in a [`DeadlockReport`].
@@ -1128,9 +1127,41 @@ fn snapshot(shared: &Shared, done: &[bool]) -> (Vec<PeSnapshot>, Vec<(usize, usi
     (pes, wait_edges)
 }
 
+/// Why a [`run_guarded`] run produced no output.
+#[derive(Debug, Clone)]
+pub enum RunError {
+    /// The watchdog saw no progress for the guard timeout; the stuck rank
+    /// threads are abandoned.
+    Deadlock(Box<DeadlockReport>),
+    /// A rank program panicked. Its siblings were released by the poisoned
+    /// data plane, and every rank thread has exited.
+    RankPanicked {
+        /// The rank that panicked first.
+        rank: usize,
+        /// Its panic message.
+        message: String,
+    },
+}
+
+impl std::fmt::Display for RunError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            RunError::Deadlock(report) => write!(f, "{report}"),
+            RunError::RankPanicked { rank, message } => {
+                write!(f, "rank {rank} panicked: {message}")
+            }
+        }
+    }
+}
+
+impl std::error::Error for RunError {}
+
 /// Like [`run_sim`], but supervised by a deadlock watchdog: if no PE makes
-/// progress for `timeout`, the run is abandoned and a [`DeadlockReport`]
-/// dumping per-PE state is returned instead of hanging forever.
+/// progress for `timeout`, the run is abandoned and a
+/// [`RunError::Deadlock`] report dumping per-PE state is returned instead
+/// of hanging forever. A panicking rank poisons the data plane; once every
+/// rank has reported, the run returns [`RunError::RankPanicked`] naming it
+/// instead of unwinding into the caller.
 ///
 /// The rank program must be `'static` because stuck rank threads cannot be
 /// joined — on a diagnosed deadlock they are leaked (acceptable in a test
@@ -1143,28 +1174,29 @@ pub fn run_guarded<R, F>(
     opts: &SimOptions,
     timeout: Duration,
     f: F,
-) -> Result<SimOutput<R>, Box<DeadlockReport>>
+) -> Result<SimOutput<R>, RunError>
 where
     R: Send + 'static,
     F: Fn(&mut Ctx) -> R + Send + Sync + 'static,
 {
     assert!(p > 0, "need at least one PE");
     let shared = Arc::new(make_shared(p));
-    let (endpoints, collector) = if opts.wall_profile {
-        tricount_net::endpoints_profiled(opts.transport, p, opts.wall_ring_capacity)
-    } else {
-        (tricount_net::endpoints(opts.transport, p), None)
-    };
+    let (endpoints, plane) = plane_for(p, opts);
     let f = Arc::new(f);
-    let opts_copy = opts.clone();
-    let (done_tx, done_rx) = mpsc::channel::<(usize, RankOutcome<R>)>();
+    let (done_tx, done_rx) = mpsc::channel::<(usize, std::thread::Result<RankOutcome<R>>)>();
     for (rank, endpoint) in endpoints.into_iter().enumerate() {
         let shared = Arc::clone(&shared);
         let f = Arc::clone(&f);
         let done_tx = done_tx.clone();
-        let opts_copy = opts_copy.clone();
+        let opts = opts.clone();
         std::thread::spawn(move || {
-            let outcome = drive_rank(rank, &shared, endpoint, &opts_copy, &*f);
+            // the endpoint drops inside the unwind, poisoning the plane
+            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                drive_rank(rank, &shared, endpoint, &opts, &*f)
+            }));
+            // release the rank program before reporting, so a returned run
+            // holds no reference into it
+            drop(f);
             // the supervisor may have given up already; ignore send errors
             let _ = done_tx.send((rank, outcome));
         });
@@ -1173,6 +1205,7 @@ where
 
     let poll = (timeout / 10).max(Duration::from_millis(2));
     let mut slots: Vec<Option<RankOutcome<R>>> = (0..p).map(|_| None).collect();
+    let mut panics: Vec<(usize, PanicPayload)> = Vec::new();
     let mut done = vec![false; p];
     let mut completed = 0usize;
     let mut last_beats: Vec<u64> = shared
@@ -1181,27 +1214,37 @@ where
         .map(|h| h.load(Ordering::Relaxed))
         .collect();
     let mut last_change = Instant::now();
+    let rank_panicked = |plane: &tricount_net::Plane, panics| {
+        original_panic(plane, panics).map(|(rank, payload)| RunError::RankPanicked {
+            rank,
+            message: panic_message(&payload),
+        })
+    };
     loop {
         match done_rx.recv_timeout(poll) {
             Ok((rank, outcome)) => {
-                slots[rank] = Some(outcome);
+                match outcome {
+                    Ok(outcome) => slots[rank] = Some(outcome),
+                    Err(payload) => panics.push((rank, payload)),
+                }
                 done[rank] = true;
                 completed += 1;
                 last_change = Instant::now();
                 if completed == p {
+                    if let Some(err) = rank_panicked(&plane, panics) {
+                        return Err(err);
+                    }
                     // every slot is Some: `completed` counts distinct ranks.
                     // A rank's outcome is sent only after `drive_rank`
                     // returned, i.e. after its endpoint dropped and (if
                     // profiling) deposited its wall log.
                     let outcomes: Vec<RankOutcome<R>> = slots.into_iter().flatten().collect();
-                    let wall = collector.map(tricount_net::WallCollector::drain);
-                    return Ok(assemble(p, outcomes, opts.record_trace, wall));
+                    return Ok(assemble(p, outcomes, opts.record_trace, plane.drain_wall()));
                 }
             }
-            Err(RecvTimeoutError::Timeout) => {}
-            Err(RecvTimeoutError::Disconnected) => {
-                panic!("rank thread panicked before completing");
-            }
+            // Every rank thread reports before its sender drops, so the
+            // channel cannot disconnect before `completed == p`.
+            Err(RecvTimeoutError::Timeout | RecvTimeoutError::Disconnected) => {}
         }
         let beats: Vec<u64> = shared
             .heartbeat
@@ -1212,13 +1255,18 @@ where
             last_beats = beats;
             last_change = Instant::now();
         } else if last_change.elapsed() >= timeout {
+            // A rank that panicked but left a sibling stuck outside the
+            // data plane is still a panic, not a deadlock.
+            if let Some(err) = rank_panicked(&plane, panics) {
+                return Err(err);
+            }
             let (pes, wait_edges) = snapshot(&shared, &done);
-            return Err(Box::new(DeadlockReport {
+            return Err(RunError::Deadlock(Box::new(DeadlockReport {
                 stalled_for: last_change.elapsed(),
                 pes,
                 wait_edges,
                 pool_workers: tricount_par::probe::snapshot_live(),
-            }));
+            })));
         }
     }
 }
@@ -1500,60 +1548,26 @@ mod tests {
     }
 
     #[test]
-    fn threads_backend_matches_sim_on_collectives_and_p2p() {
-        let body = |ctx: &mut Ctx| {
-            let p = ctx.num_ranks();
-            for d in 0..p {
-                if d != ctx.rank() {
-                    ctx.send_raw(d, vec![ctx.rank() as u64, 7]);
-                }
-            }
-            let mut got = 0usize;
-            let mut sum = 0u64;
-            while got < p - 1 {
-                if let Some(m) = ctx.try_recv_raw() {
-                    sum += m.words[0];
-                    got += 1;
-                } else {
-                    std::thread::yield_now();
-                }
-            }
-            ctx.add_work(5);
-            ctx.end_phase("p2p");
-            let red = ctx.allreduce_sum(&[sum])[0];
-            let aa = ctx.alltoallv((0..p).map(|d| vec![d as u64]).collect());
-            ctx.end_phase("coll");
-            (red, aa.len() as u64)
-        };
-        let sim = run_sim(4, &SimOptions::default(), body);
-        let thr = run_sim(4, &SimOptions::on(TransportKind::Threads), body);
-        assert_eq!(sim.output.results, thr.output.results);
-        // phase-by-phase, rank-by-rank: identical meters on both backends
-        for (ps, pt) in sim.output.stats.phases.iter().zip(&thr.output.stats.phases) {
-            assert_eq!(ps.name, pt.name);
-            assert_eq!(ps.per_rank, pt.per_rank);
-        }
-    }
-
-    #[test]
     fn threads_backend_panic_joins_all_ranks() {
         // rank 2 dies while the rest head into a barrier: poisoning must
-        // release every sibling so the scope joins and re-raises (a hang
-        // here would trip the test harness timeout, not pass).
+        // release every sibling so the scope joins and re-raises rank 2's
+        // own panic, not a sibling's "transport poisoned" (a hang here
+        // would trip the test harness timeout, not pass).
         let result = std::panic::catch_unwind(|| {
-            run_sim(4, &SimOptions::on(TransportKind::Threads), |ctx| {
+            run_sim(4, &SimOptions::default(), |ctx| {
                 if ctx.rank() == 2 {
                     panic!("rank 2 dies");
                 }
                 ctx.barrier();
             })
         });
-        assert!(result.is_err());
+        let payload = result.expect_err("the run must fail");
+        assert_eq!(panic_message(&payload), "rank 2 dies");
     }
 
     #[test]
     fn threads_backend_records_wall_time() {
-        let out = run_sim(2, &SimOptions::on(TransportKind::Threads), |ctx| {
+        let out = run_sim(2, &SimOptions::default(), |ctx| {
             ctx.add_work(1000);
             ctx.end_phase("work");
         });
@@ -1589,6 +1603,9 @@ mod tests {
             },
         )
         .expect_err("must diagnose the deadlock");
+        let RunError::Deadlock(report) = report else {
+            panic!("expected a deadlock report, got {report}");
+        };
         assert_eq!(report.pes.len(), 4);
         assert!(report.pes[0].done);
         for pe in &report.pes[1..] {
@@ -1600,5 +1617,37 @@ mod tests {
         let rendered = report.to_string();
         assert!(rendered.contains("deadlock"));
         assert!(rendered.contains("barrier"));
+    }
+
+    #[test]
+    fn guarded_run_reports_rank_panic() {
+        // rank 1 dies while the rest head into a barrier. The guard must
+        // name it well inside the 30 s watchdog timeout, and every rank
+        // thread must be gone: the closure's captures drop back to one
+        // owner.
+        let witness = Arc::new(());
+        let captured = Arc::clone(&witness);
+        let start = Instant::now();
+        let res = run_guarded(
+            4,
+            &SimOptions::default(),
+            Duration::from_secs(30),
+            move |ctx: &mut Ctx| {
+                let _keep = &captured;
+                if ctx.rank() == 1 {
+                    panic!("rank 1 dies");
+                }
+                ctx.barrier();
+            },
+        );
+        assert!(start.elapsed() < Duration::from_secs(5), "no watchdog wait");
+        match res {
+            Err(RunError::RankPanicked { rank, message }) => {
+                assert_eq!(rank, 1);
+                assert_eq!(message, "rank 1 dies");
+            }
+            other => panic!("expected RankPanicked, got {:?}", other.err()),
+        }
+        assert_eq!(Arc::strong_count(&witness), 1, "a rank thread is left");
     }
 }

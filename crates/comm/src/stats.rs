@@ -101,10 +101,9 @@ pub struct PhaseStats {
     pub per_rank: Vec<Counters>,
     /// Measured wall-clock seconds each PE spent in the phase, indexed by
     /// rank. Deliberately *not* part of [`Counters`]: counters are the
-    /// deterministic modeled record (bit-compared across backends and
-    /// schedules), while wall time is a property of the host machine. On
-    /// the simulator backend this is simulator overhead; on the threads
-    /// backend it is honest parallel execution time.
+    /// deterministic modeled record (bit-compared across schedules), while
+    /// wall time is a property of the host machine: honest parallel
+    /// execution time.
     pub wall_per_rank: Vec<f64>,
 }
 
@@ -188,7 +187,7 @@ pub struct RunStats {
     /// Phases in execution order.
     pub phases: Vec<PhaseStats>,
     /// Measured transport contention (queue lock-wait, occupancy
-    /// high-water, barrier spin) of a wall-profiled threads run
+    /// high-water, barrier wait) of a wall-profiled run
     /// (`SimOptions::wall_profile`); `None` otherwise. Strictly additive:
     /// the modeled meters above are bit-identical with or without it.
     pub contention: Option<tricount_net::ContentionSummary>,
@@ -203,8 +202,7 @@ impl RunStats {
     /// Measured wall-clock running time: the sum over phases of the slowest
     /// PE's wall seconds. The honest-parallel counterpart of
     /// [`RunStats::modeled_time`] — compare the two to see how far the
-    /// machine model is from this host's reality (threads backend), or what
-    /// the simulator's bookkeeping overhead is (sim backend).
+    /// machine model is from this host's reality.
     pub fn wall_time(&self) -> f64 {
         self.phases.iter().map(|ph| ph.max_wall()).sum()
     }

@@ -5,7 +5,7 @@
 //! distinguishes CETRIC from DITRIC, selected via [`Algorithm`]).
 
 use tricount_cache::CacheConfig;
-use tricount_comm::{Routing, TransportKind};
+use tricount_comm::Routing;
 use tricount_graph::kernels::KernelPolicy;
 use tricount_graph::OrderingKind;
 
@@ -70,13 +70,6 @@ pub struct DistConfig {
     /// Intersection-kernel selection and intra-PE parallelism policy
     /// (adaptive dispatch, hub index threshold, chunked counting).
     pub kernels: KernelPolicy,
-    /// Which data plane carries the run's communication:
-    /// [`TransportKind::Sim`] (default) is the metered simulator,
-    /// [`TransportKind::Threads`] executes the same protocol in real
-    /// parallel over shared memory. Counts and comm meters are identical on
-    /// both; the threads backend additionally yields honest per-phase wall
-    /// clock. Explicit `SimOptions.transport` overrides this field.
-    pub transport: TransportKind,
     /// Remote-adjacency caching (`tricount-cache`): bounded per-PE caching
     /// of shipped lists, consulted by the count/LCC/support/delta
     /// request–response paths and kept coherent by `update_route`.
@@ -96,7 +89,6 @@ impl Default for DistConfig {
             delegate_threshold: None,
             memory_limit_words: None,
             kernels: KernelPolicy::default(),
-            transport: TransportKind::Sim,
             cache: CacheConfig::default(),
         }
     }

@@ -220,7 +220,7 @@ pub fn approx_prepared(
 pub fn approx_on(dg: DistGraph, cfg: &DistConfig, acfg: &ApproxConfig) -> ApproxResult {
     let p = dg.num_ranks();
     let cells = into_cells(dg);
-    let out = run_sim(p, &SimOptions::on(cfg.transport), |ctx| {
+    let out = run_sim(p, &SimOptions::default(), |ctx| {
         let lg = take_local(&cells, ctx.rank());
         run_rank(ctx, lg, cfg, acfg)
     });

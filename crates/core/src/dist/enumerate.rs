@@ -115,7 +115,7 @@ fn run_rank(ctx: &mut Ctx, mut lg: LocalGraph, cfg: &DistConfig) -> Vec<Triangle
 pub fn enumerate_on(dg: DistGraph, cfg: &DistConfig) -> Vec<Triangle> {
     let p = dg.num_ranks();
     let cells = into_cells(dg);
-    let out = run_sim(p, &SimOptions::on(cfg.transport), |ctx| {
+    let out = run_sim(p, &SimOptions::default(), |ctx| {
         let lg = take_local(&cells, ctx.rank());
         run_rank(ctx, lg, cfg)
     });

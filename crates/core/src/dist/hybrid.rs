@@ -134,7 +134,7 @@ pub fn count_hybrid(
     let p = cores / threads;
     let dg = DistGraph::new_balanced_vertices(g, p);
     let cells = into_cells(dg);
-    let out = run_sim(p, &SimOptions::on(cfg.transport), |ctx| {
+    let out = run_sim(p, &SimOptions::default(), |ctx| {
         let lg = take_local(&cells, ctx.rank());
         run_rank(ctx, lg, cfg, threads)
     });

@@ -337,7 +337,7 @@ pub fn lcc_on(
         assert_eq!(cells.len(), p, "one cache cell per rank");
     }
     let cells = into_cells(dg);
-    let out = run_sim(p, &SimOptions::on(cfg.transport), |ctx| {
+    let out = run_sim(p, &SimOptions::default(), |ctx| {
         let lg = take_local(&cells, ctx.rank());
         with_session(caches, ctx.rank(), |session| {
             let prep = prepare_rank(ctx, lg, cfg);

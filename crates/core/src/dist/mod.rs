@@ -22,9 +22,7 @@ mod tests;
 use std::sync::Mutex;
 
 use tricount_cache::{CacheReport, CacheSession, RankCache};
-use tricount_comm::{
-    run_sim, Ctx, MessageQueue, QueueConfig, SimOptions, Trace, TransportKind, WallProfile,
-};
+use tricount_comm::{run_sim, Ctx, MessageQueue, QueueConfig, SimOptions, Trace, WallProfile};
 use tricount_graph::dist::{DistGraph, LocalGraph};
 use tricount_graph::OrderingKind;
 
@@ -174,19 +172,6 @@ pub(crate) fn with_session<T>(
     (out, session.finish().report)
 }
 
-/// Resolves the options a run actually executes under: an explicitly
-/// non-default `opts.transport` wins; otherwise [`DistConfig::transport`]
-/// selects the backend. (Requesting the default `Sim` through `opts` and
-/// `Threads` through the config is a config-driven threads run — the CLI
-/// and engine plumb `--transport` through the config.)
-fn resolve_opts(cfg: &DistConfig, opts: &SimOptions) -> SimOptions {
-    let mut opts = opts.clone();
-    if opts.transport == TransportKind::Sim {
-        opts.transport = cfg.transport;
-    }
-    opts
-}
-
 /// One rank's one-shot count: runs `alg`'s rank program on `lg` and
 /// returns the *global* triangle count (identical on every rank) plus this
 /// rank's per-phase kernel-dispatch tallies. The edge-iterator variants
@@ -228,7 +213,7 @@ pub struct CountRun {
     /// Kernel-dispatch tallies of every rank, folded in rank order.
     pub dispatch: DispatchReport,
     /// The drained wall-clock profile of a [`SimOptions::wall_profile`]
-    /// run on the threads backend (`None` otherwise).
+    /// run (`None` otherwise).
     pub wall: Option<WallProfile>,
     /// Adjacency-cache reports of every rank, folded (empty without
     /// cache cells).
@@ -236,15 +221,14 @@ pub struct CountRun {
 }
 
 /// Runs `alg` on an already partitioned graph under explicit
-/// [`SimOptions`] — transport backend, simulated clock, trace recording,
-/// schedule perturbation, wall profile — and returns the global count with
+/// [`SimOptions`] — simulated clock, trace recording, schedule
+/// perturbation, wall profile — and returns the global count with
 /// everything the run measured. With `caches` (exactly one cell per rank of
 /// `dg`) every rank counts under a write session over its cell, so repeated
 /// counts on a warm graph turn shipped adjacency lists into two-word
 /// references; without, the protocol is the uncached one. This is the one
-/// graph-level count driver: the CLI, the conformance, determinism and
-/// transport-equivalence harnesses, the examples and the benches all run
-/// through it.
+/// graph-level count driver: the CLI, the conformance and determinism
+/// harnesses, the examples and the benches all run through it.
 pub fn run_count(
     dg: DistGraph,
     alg: Algorithm,
@@ -252,13 +236,12 @@ pub fn run_count(
     opts: &SimOptions,
     caches: Option<&[Mutex<RankCache>]>,
 ) -> Result<CountRun, DistError> {
-    let opts = resolve_opts(cfg, opts);
     let p = dg.num_ranks();
     if let Some(cells) = caches {
         assert_eq!(cells.len(), p, "one cache cell per rank");
     }
     let cells = into_cells(dg);
-    let sim = run_sim(p, &opts, |ctx: &mut Ctx| {
+    let sim = run_sim(p, opts, |ctx: &mut Ctx| {
         let lg = take_local(&cells, ctx.rank());
         let (counted, cache) = with_session(caches, ctx.rank(), |session| {
             count_rank(ctx, lg, alg, cfg, session)

@@ -53,8 +53,7 @@ pub fn redistribute(ctx: &mut Ctx, lg: &LocalGraph, new_part: &Partition) -> Loc
 
 /// Counts triangles with a metered rebalancing step in front: the graph
 /// starts vertex-balanced, is redistributed to the cost-function partition
-/// (recorded as a `"rebalance"` phase), and counted by `alg` afterwards on
-/// the backend `cfg.transport` selects.
+/// (recorded as a `"rebalance"` phase), and counted by `alg` afterwards.
 pub fn count_rebalanced(
     g: &Csr,
     p: usize,
@@ -65,7 +64,7 @@ pub fn count_rebalanced(
     let new_part = Partition::balanced_by_cost(g, p, cost);
     let dg = DistGraph::new_balanced_vertices(g, p);
     let cells = into_cells(dg);
-    let out = run_sim(p, &SimOptions::on(cfg.transport), |ctx| {
+    let out = run_sim(p, &SimOptions::default(), |ctx| {
         let lg = take_local(&cells, ctx.rank());
         let lg = redistribute(ctx, &lg, &new_part);
         ctx.end_phase(phases::REBALANCE);

@@ -1,6 +1,6 @@
 //! Result and error types of the distributed runs.
 
-use tricount_comm::{CostModel, DeadlockReport, RunStats};
+use tricount_comm::{CostModel, RunError, RunStats};
 
 /// Errors a distributed run can report.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -18,24 +18,29 @@ pub enum DistError {
     /// timeout. Instead of hanging, the run is abandoned and the watchdog's
     /// per-PE state dump plus wait-for graph are carried here.
     Deadlock {
-        /// Rendered [`DeadlockReport`]: per-PE op/buffer/delivery state and
+        /// Rendered [`tricount_comm::DeadlockReport`]: per-PE op/buffer/delivery state and
         /// the wait-for edges.
         report: String,
     },
+    /// A rank program panicked under [`tricount_comm::run_guarded`]. The
+    /// poisoned data plane released its siblings and every rank thread
+    /// exited.
+    RankPanicked {
+        /// The rank that panicked first.
+        rank: usize,
+        /// Its panic message.
+        message: String,
+    },
 }
 
-impl DistError {
-    /// Wraps a watchdog diagnosis as a [`DistError::Deadlock`].
-    pub fn from_deadlock(report: &DeadlockReport) -> DistError {
-        DistError::Deadlock {
-            report: report.to_string(),
+impl From<RunError> for DistError {
+    fn from(err: RunError) -> Self {
+        match err {
+            RunError::Deadlock(report) => DistError::Deadlock {
+                report: report.to_string(),
+            },
+            RunError::RankPanicked { rank, message } => DistError::RankPanicked { rank, message },
         }
-    }
-}
-
-impl From<Box<DeadlockReport>> for DistError {
-    fn from(report: Box<DeadlockReport>) -> Self {
-        DistError::from_deadlock(&report)
     }
 }
 
@@ -50,6 +55,9 @@ impl std::fmt::Display for DistError {
                 "out of memory: needs {needed_words} buffered words, limit {limit_words}"
             ),
             DistError::Deadlock { report } => write!(f, "{report}"),
+            DistError::RankPanicked { rank, message } => {
+                write!(f, "rank {rank} panicked: {message}")
+            }
         }
     }
 }

@@ -127,8 +127,8 @@ pub struct EngineConfig {
     /// prepared state (a communication-free re-orient + re-contract).
     pub compaction_fraction: f64,
     /// Record wall-clock transport events and contention meters on every
-    /// run (threads transport only; a no-op on the simulator). Strictly
-    /// additive: the modeled counters are bit-identical either way.
+    /// run. Strictly additive: the modeled counters are bit-identical
+    /// either way.
     pub wall_profile: bool,
 }
 
@@ -345,7 +345,6 @@ impl Engine {
         let degrees = g.degrees();
         let dg = DistGraph::new_balanced_vertices(g, cfg.num_ranks);
         let opts = SimOptions {
-            transport: cfg.dist.transport,
             timing: cfg.timing,
             record_trace: false,
             perturb_seed: None,
@@ -1100,7 +1099,6 @@ impl Engine {
         let m = inner.metrics.lock().expect("metrics lock");
         EngineStats {
             num_ranks: inner.cfg.num_ranks,
-            transport: inner.cfg.dist.transport.name(),
             epoch: tip.epoch,
             submitted: m.submitted,
             rejected: m.rejected,
@@ -1448,7 +1446,6 @@ impl EngineInner {
     /// The options every serving-path distributed run executes under.
     fn run_opts(&self) -> SimOptions {
         SimOptions {
-            transport: self.cfg.dist.transport,
             timing: self.cfg.timing,
             record_trace: false,
             perturb_seed: self.cfg.perturb_seed,

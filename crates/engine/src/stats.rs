@@ -50,8 +50,6 @@ pub struct EngineSpan {
 pub struct EngineStats {
     /// Number of PEs the resident graph is partitioned over.
     pub num_ranks: usize,
-    /// Transport backend carrying the engine's runs ("sim" or "threads").
-    pub transport: &'static str,
     /// Current epoch (bumped by [`advance_epoch`](crate::Engine::advance_epoch)).
     pub epoch: u64,
     /// Queries accepted by [`submit`](crate::Engine::submit).
@@ -126,11 +124,11 @@ pub struct EngineStats {
     /// Sum of wall times over all executed runs.
     pub wall_seconds_total: f64,
     /// Runs (setup, baseline, queries, updates, compactions) that carried
-    /// wall-clock contention meters (0 unless `wall_profile` on threads).
+    /// wall-clock contention meters (0 unless `wall_profile`).
     pub profiled_runs: u64,
     /// Summed transport queue lock-wait seconds over profiled runs.
     pub lock_wait_seconds_total: f64,
-    /// Summed transport barrier spin seconds over profiled runs.
+    /// Summed transport barrier wait seconds over profiled runs.
     pub barrier_spin_seconds_total: f64,
     /// Wall events lost to probe-ring overflow over profiled runs.
     pub wall_events_dropped: u64,
@@ -191,7 +189,6 @@ impl EngineStats {
         let mut s = String::with_capacity(1024);
         s.push('{');
         push_field(&mut s, "num_ranks", &self.num_ranks.to_string());
-        push_field(&mut s, "transport", &format!("\"{}\"", self.transport));
         push_field(&mut s, "epoch", &self.epoch.to_string());
         push_field(&mut s, "submitted", &self.submitted.to_string());
         push_field(&mut s, "rejected", &self.rejected.to_string());
@@ -433,7 +430,6 @@ mod tests {
     fn json_snapshot_is_wellformed_enough() {
         let stats = EngineStats {
             num_ranks: 4,
-            transport: "sim",
             epoch: 0,
             submitted: 3,
             rejected: 1,
@@ -530,7 +526,6 @@ mod tests {
         assert!(j.contains("\"adj_cache_hit_rate\":0.75"));
         assert!(j.contains("\"query_adjacency\":{\"lookups\":4,\"hits\":3,\"misses\":1,\"adjacency_words_shipped\":10,\"adjacency_words_saved\":30"));
         assert!(j.contains("\"adj_cache_resident_words\":10"));
-        assert!(j.contains("\"transport\":\"sim\""));
         assert!(j.contains(
             "\"kernel_dispatch\":{\"local\":{\"merge\":3,\"gallop\":2,\"binary\":1,\"bitmap\":0}}"
         ));

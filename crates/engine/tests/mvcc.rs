@@ -4,13 +4,12 @@
 //! regression test for the old read-your-writes tick (which folded
 //! pending overlays into the live state and answered *waiting* queries
 //! against the post-update graph), a proptest driving random
-//! submit/update/tick interleavings at 1, 4 and 9 PEs over both
-//! transports against a serialized oracle, true cross-thread
+//! submit/update/tick interleavings at 1, 4 and 9 PEs against a
+//! serialized oracle, true cross-thread
 //! reads-during-writes, and the epoch retire-list lifecycle.
 
 use proptest::prelude::*;
 use std::sync::Mutex;
-use tricount_comm::TransportKind;
 use tricount_core::config::Algorithm;
 use tricount_core::seq;
 use tricount_delta::{apply_to_csr, UpdateBatch};
@@ -326,7 +325,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     /// Random submit/update/tick interleavings across epochs, at 1, 4 and
-    /// 9 PEs over both transports: every answer bit-equals the value a
+    /// 9 PEs: every answer bit-equals the value a
     /// fully serialized execution produces on the query's admission-time
     /// graph — for all 7 global variants and for edge-support probes.
     #[test]
@@ -338,16 +337,8 @@ proptest! {
     ) {
         let g = tricount_gen::gnm(n, n * edge_factor, seed);
         let probe: Vec<(u64, u64)> = vec![(0, n / 2), (1, n - 1), (n / 3, n / 2 + 1)];
-        for (p, transport) in [
-            (1usize, TransportKind::Sim),
-            (4, TransportKind::Sim),
-            (9, TransportKind::Sim),
-            (1, TransportKind::Threads),
-            (4, TransportKind::Threads),
-            (9, TransportKind::Threads),
-        ] {
+        for p in [1usize, 4, 9] {
             let mut cfg = EngineConfig::new(p);
-            cfg.dist.transport = transport;
             cfg.batch_max = 4;
             let e = Engine::build(&g, cfg);
             // The serialized oracle: the graph as of each admission.
@@ -377,7 +368,7 @@ proptest! {
                         prop_assert_eq!(
                             r.triangles_after,
                             count_of(&serial),
-                            "receipt tracks the oracle, p {} {:?}", p, transport
+                            "receipt tracks the oracle, p {}", p
                         );
                     }
                     Op::Tick => {
@@ -397,15 +388,15 @@ proptest! {
                     got.push((id, a.expect("valid queries")));
                 }
             }
-            prop_assert_eq!(got.len(), expected.len(), "p {} {:?}", p, transport);
+            prop_assert_eq!(got.len(), expected.len(), "p {}", p);
             got.sort_by_key(|(id, _)| *id);
             expected.sort_by_key(|(id, _)| *id);
             for ((gid, ga), (eid, ea)) in got.iter().zip(&expected) {
-                prop_assert_eq!(gid, eid, "p {} {:?}", p, transport);
+                prop_assert_eq!(gid, eid, "p {}", p);
                 prop_assert_eq!(
                     ga, ea,
-                    "answer {:?} bit-equals serialized execution, p {} {:?}",
-                    gid, p, transport
+                    "answer {:?} bit-equals serialized execution, p {}",
+                    gid, p
                 );
             }
             prop_assert_eq!(e.resident_triangles(), count_of(&serial));

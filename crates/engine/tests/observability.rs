@@ -196,15 +196,12 @@ fn epoch_lifecycle_metrics_round_trip() {
 
 #[test]
 fn wall_profiled_engine_reports_contention() {
-    use tricount_comm::TransportKind;
     let g = tricount_gen::rgg2d_default(128, 3);
 
     // Both engines run untimed: the overlap-aware `sim_clock` depends on
-    // the threads backend's schedule, so whole-`Counters` equality holds
-    // only without it (as in the transport-equivalence suite).
+    // the schedule, so whole-`Counters` equality holds only without it.
     // profiling off: nothing is profiled, the snapshot stays silent
     let mut plain_cfg = EngineConfig::new(2);
-    plain_cfg.dist.transport = TransportKind::Threads;
     plain_cfg.timing = None;
     let plain = Engine::build(&g, plain_cfg);
     plain
@@ -220,7 +217,6 @@ fn wall_profiled_engine_reports_contention() {
     // profiling on: setup + baseline + the query run all carry meters,
     // and the modeled counters match the unprofiled engine exactly
     let mut cfg = EngineConfig::new(2);
-    cfg.dist.transport = TransportKind::Threads;
     cfg.timing = None;
     cfg.wall_profile = true;
     let e = Engine::build(&g, cfg);
@@ -232,7 +228,7 @@ fn wall_profiled_engine_reports_contention() {
     let s = e.stats();
     assert!(s.profiled_runs >= 3, "setup, baseline and one query run");
     assert!(s.lock_wait_seconds_total >= 0.0);
-    assert!(s.barrier_spin_seconds_total > 0.0, "barriers always spin");
+    assert!(s.barrier_spin_seconds_total > 0.0, "barriers always wait");
     assert_eq!(
         s.query_comm, off.query_comm,
         "profiling must not perturb the modeled meters"

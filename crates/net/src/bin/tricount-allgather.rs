@@ -1,4 +1,4 @@
-//! Allgather collective probe over the threads transport.
+//! Allgather collective probe over the shared-memory transport.
 //!
 //! Sweeps PE counts and per-rank payload sizes through the transport's
 //! `exchange` rendezvous and reports seconds per collective call. The
@@ -16,7 +16,7 @@
 
 use std::time::Instant;
 
-use tricount_net::{endpoints, TransportKind};
+use tricount_net::endpoints;
 
 /// PE counts swept (capped by available parallelism below).
 const PES: [usize; 4] = [2, 4, 8, 16];
@@ -33,7 +33,7 @@ const REPS: usize = 3;
 fn time_allgather(p: usize, words: usize) -> f64 {
     let mut best = f64::INFINITY;
     for _ in 0..REPS {
-        let eps = endpoints(TransportKind::Threads, p);
+        let (eps, _) = endpoints(p, None);
         let elapsed = std::thread::scope(|scope| {
             let handles: Vec<_> = eps
                 .into_iter()
@@ -64,7 +64,7 @@ fn main() {
     let cores = std::thread::available_parallelism().map_or(2, usize::from);
     let mut points: Vec<(usize, usize, f64)> = Vec::new();
     for &p in &PES {
-        // oversubscribing a spin barrier past 2× the core count measures
+        // oversubscribing the barrier past 2× the core count measures
         // scheduler noise, not the transport
         if p > cores * 2 {
             continue;

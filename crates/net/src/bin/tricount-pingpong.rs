@@ -1,4 +1,4 @@
-//! Ping-pong latency/bandwidth probe over the threads transport.
+//! Ping-pong latency/bandwidth probe over the shared-memory transport.
 //!
 //! Two PE threads bounce messages of increasing payload size; the
 //! half-round-trip times are fitted with least squares to the α + βℓ
@@ -17,7 +17,7 @@
 
 use std::time::Instant;
 
-use tricount_net::{endpoints, Msg, TransportKind};
+use tricount_net::{endpoints, Msg};
 
 /// Payload sizes swept (machine words). Spans latency-dominated to
 /// bandwidth-dominated messages.
@@ -32,7 +32,7 @@ const REPS: usize = 5;
 fn time_size(words: usize) -> f64 {
     let mut best = f64::INFINITY;
     for _ in 0..REPS {
-        let eps = endpoints(TransportKind::Threads, 2);
+        let (eps, _) = endpoints(2, None);
         let elapsed = std::thread::scope(|scope| {
             let mut it = eps.into_iter();
             let mut a = match it.next() {

@@ -1,14 +1,14 @@
-//! Wall-clock profiling of the threads backend: per-PE event rings and
+//! Wall-clock profiling of the data plane: per-PE event rings and
 //! contention meters.
 //!
 //! The modeled meters of `tricount-comm` are deliberately blind to wall
-//! time — they are bit-compared across backends and schedules. This module
-//! is the complementary instrument: when a threads-backend run is built
-//! through [`crate::threads::ThreadsTransport::endpoints_profiled`], every
+//! time — they are bit-compared across schedules. This module is the
+//! complementary instrument: when a plane is built by
+//! [`crate::threads::endpoints`] with a ring capacity, every
 //! endpoint carries a fixed-capacity [`ProbeRing`] recording sends,
 //! receives and barrier enter/exit with nanosecond wall stamps, plus a set
 //! of [`ContentionMeters`] (queue lock-wait, occupancy high-water, barrier
-//! spin). Everything is thread-local to the owning PE — recording is a
+//! wait). Everything is thread-local to the owning PE — recording is a
 //! bounds check and a `Vec::push`, never a lock — and the logs are drained
 //! *after* the run, when the rank threads have been joined.
 //!
@@ -43,9 +43,9 @@ pub enum WallEventKind {
         /// Payload length in machine words.
         words: u64,
     },
-    /// This PE arrived at the spin barrier.
+    /// This PE arrived at the barrier.
     BarrierEnter,
-    /// The spin barrier released this PE.
+    /// The barrier released this PE.
     BarrierExit,
 }
 
@@ -121,7 +121,8 @@ pub struct ContentionMeters {
     /// High-water occupancy (messages) of each outgoing queue, per
     /// destination, observed at push time.
     pub occupancy_highwater: Vec<u64>,
-    /// Nanoseconds spent inside the spin barrier.
+    /// Nanoseconds spent waiting at the barrier (the name predates the
+    /// blocking barrier; exported metric names keep it).
     pub barrier_spin_nanos: u64,
     /// Barrier waits performed.
     pub barrier_waits: u64,
@@ -219,7 +220,7 @@ impl WallCollector {
     }
 }
 
-/// The drained wall-clock record of one profiled threads run.
+/// The drained wall-clock record of one profiled run.
 #[derive(Debug)]
 pub struct WallProfile {
     /// Number of PEs.
@@ -292,7 +293,7 @@ pub struct ContentionSummary {
     pub recv_lock_wait_nanos: Vec<u64>,
     /// Per-PE high-water occupancy over that PE's outgoing queues.
     pub occupancy_highwater: Vec<u64>,
-    /// Per-PE nanoseconds spent spinning in barriers.
+    /// Per-PE nanoseconds spent waiting at barriers.
     pub barrier_spin_nanos: Vec<u64>,
     /// Per-PE barrier waits.
     pub barrier_waits: Vec<u64>,
@@ -313,7 +314,7 @@ impl ContentionSummary {
         nanos as f64 / 1e9
     }
 
-    /// Total barrier spin seconds over all PEs.
+    /// Total barrier wait seconds over all PEs.
     pub fn barrier_spin_seconds(&self) -> f64 {
         self.barrier_spin_nanos.iter().sum::<u64>() as f64 / 1e9
     }

@@ -1,4 +1,4 @@
-//! The real parallel backend: thread-per-PE over shared memory.
+//! The data plane: thread-per-PE over shared memory.
 //!
 //! Point-to-point traffic flows through one SPSC queue per ordered PE pair
 //! — a single producer (the sending rank) and a single consumer (the
@@ -9,28 +9,29 @@
 //! classic index-ring SPSC would drop the remaining per-message lock, but
 //! needs `UnsafeCell` slots and this workspace forbids `unsafe`; with one
 //! producer and one consumer the O(1) critical sections here are
-//! contended only during the actual hand-off.)
+//! contended only during the actual hand-off.) Per-pair queues are also
+//! what gives the wall probe its per-peer lock-wait and occupancy meters.
 //!
-//! Barriers are the sense-reversing spin barrier of [`crate::spin`];
-//! collectives deposit into per-rank mutex cells bracketed by barriers —
-//! the same deposit → barrier → collect → barrier rendezvous as the sim
-//! backend, with per-slot locks instead of one global scratch lock.
+//! Barriers are the blocking [`PoisonBarrier`]; collectives deposit into
+//! per-rank mutex cells bracketed by barriers (deposit → barrier →
+//! collect → barrier).
 //!
 //! **Panic poisoning**: when a rank thread unwinds, its endpoint's `Drop`
-//! poisons the shared barrier. Every sibling blocked in a barrier — and
-//! every subsequent `try_recv`/`send` — panics immediately instead of
-//! spinning on a peer that will never arrive, so the scoped runtime can
-//! join all PEs and re-raise the first panic. No leaked threads.
+//! poisons the shared barrier with its rank. Every sibling blocked in a
+//! barrier — and every subsequent `try_recv`/`send` — panics immediately
+//! instead of waiting on a peer that will never arrive, so the runtime can
+//! join all PEs and report the rank that failed first. No leaked threads.
 
-use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Instant;
 
-use crate::profile::{ContentionMeters, PeWallLog, ProbeRing, WallCollector, WallEventKind};
-use crate::spin::SpinBarrier;
-use crate::{Endpoint, Msg, TransportKind};
+use crate::barrier::PoisonBarrier;
+use crate::profile::{
+    ContentionMeters, PeWallLog, ProbeRing, WallCollector, WallEventKind, WallProfile,
+};
+use crate::Msg;
 
 /// One directed SPSC channel: `src → dst`.
 struct PairQueue {
@@ -107,76 +108,76 @@ impl PairQueue {
     }
 }
 
-/// State shared by all endpoints of one threads-backend run.
-struct ThreadsShared {
+/// State shared by all endpoints of one run.
+struct Mesh {
     p: usize,
     /// `chan[src * p + dst]` — the SPSC queue from `src` to `dst`.
     chan: Vec<PairQueue>,
-    barrier: SpinBarrier,
+    barrier: PoisonBarrier,
     /// Collective deposit slots (allgather rendezvous), one per rank.
     slots: Vec<Mutex<Vec<u64>>>,
     /// All-to-all deposit rows, `mat[src]` holding what `src` sends.
     mat: Vec<Mutex<Vec<Vec<u64>>>>,
 }
 
-/// The thread-per-PE transport: builds [`ThreadsEndpoint`]s over one
-/// shared-memory mesh.
-pub struct ThreadsTransport;
+/// The run-side handle on a data plane: what the runtime keeps after the
+/// endpoints have moved into the rank threads.
+pub struct Plane {
+    mesh: Arc<Mesh>,
+    wall: Option<Arc<WallCollector>>,
+}
 
-impl ThreadsTransport {
-    /// One endpoint per rank over a fresh data plane.
-    pub fn endpoints(p: usize) -> Vec<Box<dyn Endpoint>> {
-        Self::build(p, None)
+impl Plane {
+    /// The rank whose endpoint dropped first during a panic, if any.
+    pub fn first_panicked(&self) -> Option<usize> {
+        self.mesh.barrier.poisoned_by()
     }
 
-    /// Like [`ThreadsTransport::endpoints`], but every endpoint carries a
-    /// wall-clock probe (event ring of `ring_capacity` entries, 0 selects
-    /// the default, plus contention meters). When the rank threads have
-    /// been joined, [`WallCollector::drain`] yields the run's
-    /// [`crate::profile::WallProfile`].
-    pub fn endpoints_profiled(
-        p: usize,
-        ring_capacity: usize,
-    ) -> (Vec<Box<dyn Endpoint>>, Arc<WallCollector>) {
-        let collector = Arc::new(WallCollector::new(p, ring_capacity));
-        let eps = Self::build(p, Some(Arc::clone(&collector)));
-        (eps, collector)
+    /// Drains the wall-clock profile of a profiled plane (`None` when the
+    /// plane was built without one). Call after every rank thread has been
+    /// joined: each endpoint deposits its log when it drops.
+    pub fn drain_wall(self) -> Option<WallProfile> {
+        self.wall.map(WallCollector::drain)
     }
+}
 
-    fn build(p: usize, collector: Option<Arc<WallCollector>>) -> Vec<Box<dyn Endpoint>> {
-        let shared = Arc::new(ThreadsShared {
-            p,
-            chan: (0..p * p).map(|_| PairQueue::new()).collect(),
-            barrier: SpinBarrier::new(p),
-            slots: (0..p).map(|_| Mutex::new(Vec::new())).collect(),
-            mat: (0..p).map(|_| Mutex::new(Vec::new())).collect(),
-        });
-        let epoch = Instant::now();
-        (0..p)
-            .map(|rank| {
-                let probe = collector.as_ref().map(|coll| {
-                    RefCell::new(ProbeState {
-                        epoch,
-                        ring: ProbeRing::new(coll.ring_capacity()),
-                        meters: ContentionMeters::new(p),
-                        collector: Arc::clone(coll),
-                    })
-                });
-                Box::new(ThreadsEndpoint {
-                    rank,
-                    shared: Arc::clone(&shared),
-                    cursor: 0,
-                    probe,
-                }) as Box<dyn Endpoint>
-            })
-            .collect()
-    }
+/// Builds the data plane for a `p`-PE run and returns one endpoint per
+/// rank (indexed by rank, ready to be moved into the rank threads) plus
+/// the run-side [`Plane`] handle.
+///
+/// With `wall_ring = Some(capacity)` every endpoint carries a wall-clock
+/// probe: an event ring of `capacity` entries (0 selects the default) plus
+/// contention meters, drained through [`Plane::drain_wall`].
+pub fn endpoints(p: usize, wall_ring: Option<usize>) -> (Vec<Endpoint>, Plane) {
+    assert!(p > 0, "need at least one PE");
+    let mesh = Arc::new(Mesh {
+        p,
+        chan: (0..p * p).map(|_| PairQueue::new()).collect(),
+        barrier: PoisonBarrier::new(p),
+        slots: (0..p).map(|_| Mutex::new(Vec::new())).collect(),
+        mat: (0..p).map(|_| Mutex::new(Vec::new())).collect(),
+    });
+    let wall = wall_ring.map(|capacity| Arc::new(WallCollector::new(p, capacity)));
+    let epoch = Instant::now();
+    let eps = (0..p)
+        .map(|rank| Endpoint {
+            rank,
+            mesh: Arc::clone(&mesh),
+            cursor: 0,
+            probe: wall.as_ref().map(|coll| ProbeState {
+                epoch,
+                ring: ProbeRing::new(coll.ring_capacity()),
+                meters: ContentionMeters::new(p),
+                collector: Arc::clone(coll),
+            }),
+        })
+        .collect();
+    (eps, Plane { mesh, wall })
 }
 
 /// Per-endpoint wall-clock probe: event ring, contention meters, and the
 /// collector the log is deposited into when the endpoint drops. Owned by
-/// the rank thread; the `RefCell` exists only because the [`Endpoint`]
-/// trait's `barrier` takes `&self`.
+/// the rank thread.
 struct ProbeState {
     epoch: Instant,
     ring: ProbeRing,
@@ -191,29 +192,40 @@ impl ProbeState {
     }
 }
 
-/// One PE's handle on the threads data plane.
-pub struct ThreadsEndpoint {
+/// One PE's handle on the data plane. Handed to the rank thread that owns
+/// it; all methods are called from that thread only.
+///
+/// The contract:
+///
+/// * **Per-channel FIFO** — messages from a fixed `(src, dst)` pair are
+///   received in send order (cross-channel order is unspecified, exactly
+///   like MPI).
+/// * **Loss-free between barriers** — a message sent before a barrier the
+///   receiver passes is eventually returned by `try_recv`.
+/// * **`exchange`/`exchange_matrix` are collectives** — every rank calls
+///   them the same number of times in the same order; they synchronise
+///   internally (deposit → barrier → collect → barrier).
+pub struct Endpoint {
     rank: usize,
-    shared: Arc<ThreadsShared>,
+    mesh: Arc<Mesh>,
     /// Round-robin receive cursor over source ranks, for fairness under
     /// sustained traffic from multiple peers.
     cursor: usize,
     /// Wall-clock probe, present only on profiled runs.
-    probe: Option<RefCell<ProbeState>>,
+    probe: Option<ProbeState>,
 }
 
-impl Drop for ThreadsEndpoint {
+impl Drop for Endpoint {
     fn drop(&mut self) {
         // An endpoint dropped mid-unwind means its PE died with the
         // protocol incomplete: poison the transport so siblings fail fast
-        // instead of spinning on a peer that will never arrive.
+        // instead of waiting on a peer that will never arrive.
         if std::thread::panicking() {
-            self.shared.barrier.poison();
+            self.mesh.barrier.poison(self.rank);
         }
         // Deposit the wall log unconditionally (panicking or not): the
         // runtime joins every rank thread before draining the collector.
-        if let Some(cell) = self.probe.take() {
-            let st = cell.into_inner();
+        if let Some(st) = self.probe.take() {
             let (events, dropped) = st.ring.into_events();
             st.collector.deposit(PeWallLog {
                 rank: self.rank,
@@ -225,28 +237,16 @@ impl Drop for ThreadsEndpoint {
     }
 }
 
-impl Endpoint for ThreadsEndpoint {
-    fn kind(&self) -> TransportKind {
-        TransportKind::Threads
-    }
-
-    fn rank(&self) -> usize {
-        self.rank
-    }
-
-    fn peers(&self) -> usize {
-        self.shared.p
-    }
-
-    fn send(&mut self, to: usize, msg: Msg) {
-        self.shared.barrier.check_poison();
-        let q = &self.shared.chan[self.rank * self.shared.p + to];
-        match &self.probe {
+impl Endpoint {
+    /// Enqueues `msg` for delivery to `to`. Never blocks.
+    pub fn send(&mut self, to: usize, msg: Msg) {
+        self.mesh.barrier.check_poison();
+        let q = &self.mesh.chan[self.rank * self.mesh.p + to];
+        match &mut self.probe {
             None => q.push(msg),
-            Some(cell) => {
+            Some(st) => {
                 let (seq, words) = (msg.seq, msg.words.len() as u64);
                 let (lock_wait, depth) = q.push_timed(msg);
-                let mut st = cell.borrow_mut();
                 let t = st.now_nanos();
                 st.meters.send_lock_wait_nanos[to] += lock_wait;
                 if depth > st.meters.occupancy_highwater[to] {
@@ -257,20 +257,20 @@ impl Endpoint for ThreadsEndpoint {
         }
     }
 
-    fn try_recv(&mut self) -> Option<Msg> {
-        self.shared.barrier.check_poison();
-        let p = self.shared.p;
+    /// Non-blocking receive of one pending message, or `None`.
+    pub fn try_recv(&mut self) -> Option<Msg> {
+        self.mesh.barrier.check_poison();
+        let p = self.mesh.p;
         for i in 0..p {
             let src = (self.cursor + i) % p;
             if src == self.rank {
                 continue;
             }
-            let q = &self.shared.chan[src * p + self.rank];
-            let msg = match &self.probe {
+            let q = &self.mesh.chan[src * p + self.rank];
+            let msg = match &mut self.probe {
                 None => q.pop(),
-                Some(cell) => {
+                Some(st) => {
                     let (msg, lock_wait) = q.pop_timed();
-                    let mut st = cell.borrow_mut();
                     st.meters.recv_lock_wait_nanos[src] += lock_wait;
                     if let Some(m) = &msg {
                         let t = st.now_nanos();
@@ -295,37 +295,30 @@ impl Endpoint for ThreadsEndpoint {
         None
     }
 
-    fn barrier(&self) {
-        match &self.probe {
-            None => self.shared.barrier.wait(),
-            Some(cell) => {
-                // Stamp the enter event and release the borrow *before*
-                // spinning: the barrier itself never touches the probe, but
-                // holding a RefCell borrow across a blocking wait would be
-                // a latent trap.
-                let t_enter = {
-                    let mut st = cell.borrow_mut();
-                    let t = st.now_nanos();
-                    st.ring.record(WallEventKind::BarrierEnter, t);
-                    t
-                };
-                self.shared.barrier.wait();
-                let mut st = cell.borrow_mut();
-                let t_exit = st.now_nanos();
-                st.ring.record(WallEventKind::BarrierExit, t_exit);
-                st.meters.barrier_spin_nanos += t_exit.saturating_sub(t_enter);
-                st.meters.barrier_waits += 1;
-            }
-        }
+    /// Synchronises all PEs (no cost accounting at this layer).
+    pub fn barrier(&mut self) {
+        let Some(st) = &mut self.probe else {
+            self.mesh.barrier.wait();
+            return;
+        };
+        let t_enter = st.now_nanos();
+        st.ring.record(WallEventKind::BarrierEnter, t_enter);
+        self.mesh.barrier.wait();
+        let t_exit = st.now_nanos();
+        st.ring.record(WallEventKind::BarrierExit, t_exit);
+        st.meters.barrier_spin_nanos += t_exit.saturating_sub(t_enter);
+        st.meters.barrier_waits += 1;
     }
 
-    fn exchange(&mut self, data: Vec<u64>) -> Vec<Vec<u64>> {
-        *self.shared.slots[self.rank]
+    /// All-gather rendezvous: deposits `data`, returns every rank's
+    /// contribution indexed by rank.
+    pub fn exchange(&mut self, data: Vec<u64>) -> Vec<Vec<u64>> {
+        *self.mesh.slots[self.rank]
             .lock()
             .unwrap_or_else(PoisonError::into_inner) = data;
         self.barrier();
         let out: Vec<Vec<u64>> = self
-            .shared
+            .mesh
             .slots
             .iter()
             .map(|slot| slot.lock().unwrap_or_else(PoisonError::into_inner).clone())
@@ -334,14 +327,16 @@ impl Endpoint for ThreadsEndpoint {
         out
     }
 
-    fn exchange_matrix(&mut self, rows: Vec<Vec<u64>>) -> Vec<Vec<u64>> {
-        *self.shared.mat[self.rank]
+    /// All-to-all rendezvous: `rows[d]` goes to rank `d`; returns what
+    /// every rank sent here, indexed by source rank.
+    pub fn exchange_matrix(&mut self, rows: Vec<Vec<u64>>) -> Vec<Vec<u64>> {
+        *self.mesh.mat[self.rank]
             .lock()
             .unwrap_or_else(PoisonError::into_inner) = rows;
         self.barrier();
-        let incoming: Vec<Vec<u64>> = (0..self.shared.p)
+        let incoming: Vec<Vec<u64>> = (0..self.mesh.p)
             .map(|src| {
-                let row = self.shared.mat[src]
+                let row = self.mesh.mat[src]
                     .lock()
                     .unwrap_or_else(PoisonError::into_inner);
                 row.get(self.rank).cloned().unwrap_or_default()
@@ -388,7 +383,7 @@ mod tests {
     /// pairs match by sequence number.
     #[test]
     fn profiled_endpoints_record_traffic_and_barriers() {
-        let (eps, coll) = ThreadsTransport::endpoints_profiled(2, 0);
+        let (eps, plane) = endpoints(2, Some(0));
         std::thread::scope(|scope| {
             for (rank, mut ep) in eps.into_iter().enumerate() {
                 scope.spawn(move || {
@@ -415,7 +410,7 @@ mod tests {
                 });
             }
         });
-        let profile = coll.drain();
+        let profile = plane.drain_wall().unwrap();
         assert_eq!(profile.p, 2);
         assert_eq!(profile.events_dropped(), 0);
         for log in &profile.per_pe {
@@ -442,7 +437,7 @@ mod tests {
     /// data plane itself is unaffected and every message still arrives.
     #[test]
     fn profiled_ring_overflow_drops_never_stalls() {
-        let (eps, coll) = ThreadsTransport::endpoints_profiled(2, 4);
+        let (eps, plane) = endpoints(2, Some(4));
         std::thread::scope(|scope| {
             for (rank, mut ep) in eps.into_iter().enumerate() {
                 scope.spawn(move || {
@@ -469,7 +464,7 @@ mod tests {
                 });
             }
         });
-        let profile = coll.drain();
+        let profile = plane.drain_wall().unwrap();
         assert!(profile.events_dropped() > 0, "tiny ring must overflow");
         for log in &profile.per_pe {
             assert_eq!(log.events.len(), 4, "rank {} ring capacity", log.rank);
@@ -478,7 +473,7 @@ mod tests {
 
     #[test]
     fn peer_panic_poisons_the_transport() {
-        let eps = ThreadsTransport::endpoints(3);
+        let (eps, plane) = endpoints(3, None);
         // endpoints are consumed whole by the rank threads; unwind safety
         // is the very property under test
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
@@ -487,7 +482,7 @@ mod tests {
                     scope.spawn(move || {
                         // bind the endpoint in the panicking thread so its
                         // Drop runs during the unwind
-                        let ep = ep;
+                        let mut ep = ep;
                         if rank == 1 {
                             panic!("rank 1 dies");
                         }
@@ -498,5 +493,6 @@ mod tests {
             })
         }));
         assert!(outcome.is_err(), "scope must re-raise, not hang");
+        assert_eq!(plane.first_panicked(), Some(1), "the poison names rank 1");
     }
 }

@@ -24,7 +24,7 @@
 //!   workspace builds without registry access, so no serde).
 //! * [`wall`] — the measured side of the dual clock: rebuilds a
 //!   [`wall::WallTimeline`] (matched send→recv flows, queue-dwell
-//!   histogram, barrier intervals) from the threads backend's wall-clock
+//!   histogram, barrier intervals) from the transport's wall-clock
 //!   probe, feeding the dual-clock Chrome export and the model-fit report.
 //!
 //! Span *recording* lives in `tricount-comm` ([`tricount_comm::SpanRecord`],

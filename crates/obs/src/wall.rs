@@ -51,7 +51,7 @@ pub struct BarrierInterval {
     pub exit_nanos: u64,
 }
 
-/// The post-run wall-clock reconstruction of one profiled threads run.
+/// The post-run wall-clock reconstruction of one profiled run.
 #[derive(Debug)]
 pub struct WallTimeline {
     /// Number of PEs.
@@ -159,7 +159,7 @@ impl WallTimeline {
     /// Human-readable wall report: flow/dwell/barrier summary.
     pub fn report(&self) -> String {
         let mut out = String::new();
-        out.push_str("wall-clock timeline (threads transport, measured)\n");
+        out.push_str("wall-clock timeline (measured)\n");
         out.push_str(&format!(
             "  events recorded {}  dropped {}  span {:.3} ms\n",
             self.events_recorded,

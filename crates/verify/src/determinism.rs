@@ -14,13 +14,14 @@
 //! ([`SimOptions::perturb_seed`]), comparing full per-rank results. For
 //! hang-prone code, [`run_guarded`] (re-exported from `tricount-comm`)
 //! wraps any of these runs with the wait-for-graph deadlock watchdog that
-//! returns a [`DeadlockReport`] instead of blocking forever.
+//! returns a [`RunError`] (a [`DeadlockReport`], or the rank that panicked)
+//! instead of blocking forever.
 
 use std::fmt;
 
 use tricount_comm::{run_sim, Ctx, SimOptions};
 
-pub use tricount_comm::{run_guarded, DeadlockReport, PeSnapshot};
+pub use tricount_comm::{run_guarded, DeadlockReport, PeSnapshot, RunError};
 
 /// One seed whose schedule produced different results than the baseline.
 #[derive(Debug, Clone)]

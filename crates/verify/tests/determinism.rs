@@ -11,7 +11,7 @@ use tricount_core::dist::run_count;
 use tricount_core::seq::compact_forward;
 use tricount_gen::rmat::rmat_default;
 use tricount_graph::dist::DistGraph;
-use tricount_verify::determinism::{check_schedule_independence, run_guarded};
+use tricount_verify::determinism::{check_schedule_independence, run_guarded, RunError};
 
 const SEEDS: [u64; 8] = [1, 2, 3, 5, 8, 13, 21, 34];
 
@@ -98,6 +98,9 @@ fn stalled_collective_is_reported() {
         },
     )
     .expect_err("must diagnose the stall");
+    let RunError::Deadlock(report) = report else {
+        panic!("expected a deadlock report, got {report}");
+    };
     assert_eq!(report.pes.len(), 4);
     assert!(
         report.pes.iter().any(|pe| !pe.done),
@@ -123,6 +126,9 @@ fn stalled_sparse_exchange_is_reported() {
         },
     )
     .expect_err("must diagnose the stall");
+    let RunError::Deadlock(report) = report else {
+        panic!("expected a deadlock report, got {report}");
+    };
     assert!(
         report
             .pes

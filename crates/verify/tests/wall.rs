@@ -1,12 +1,12 @@
-//! Wall-clock profiling is provably non-perturbing: a threads-backend run
-//! with the transport probes enabled produces bit-identical modeled meters
-//! (per the tiered comparison of `transport.rs`) and bit-identical counts
+//! Wall-clock profiling is provably non-perturbing: a run with the
+//! transport probes enabled produces bit-identical modeled meters (tiered
+//! per routing, see [`assert_stats_equiv`]) and bit-identical counts
 //! versus the same run with profiling off. The probes only *add* an
 //! honest wall-clock layer — contention summaries, event rings, matched
 //! send→recv flows — and a saturated probe ring degrades by counting
 //! drops, never by stalling or perturbing the run.
 
-use tricount_comm::{Counters, Routing, RunStats, SimOptions, TransportKind};
+use tricount_comm::{Counters, Routing, RunStats, SimOptions};
 use tricount_core::config::Algorithm;
 use tricount_core::dist::{run_count, CountRun};
 use tricount_core::seq::compact_forward;
@@ -20,19 +20,9 @@ fn fixture() -> Csr {
     tricount_gen::rmat::rmat_default(8, 11)
 }
 
-fn threads_opts() -> SimOptions {
-    SimOptions::on(TransportKind::Threads)
-}
-
-fn profiled_opts() -> SimOptions {
-    SimOptions {
-        wall_profile: true,
-        ..SimOptions::on(TransportKind::Threads)
-    }
-}
-
-/// The schedule-independent projection of a [`Counters`] record (see
-/// `transport.rs` for the tier rationale).
+/// The schedule-independent projection of a [`Counters`] record: words
+/// moved, local work, and collective charges (message counts and buffer
+/// peaks vary with relay flush timing under grid routing).
 fn schedule_free(c: &Counters) -> (u64, u64, u64, u64, u64) {
     (
         c.sent_words,
@@ -53,6 +43,14 @@ fn totals_per_rank(stats: &RunStats) -> Vec<Counters> {
     out
 }
 
+/// Meter agreement between two runs of one program:
+///
+/// * **Direct routing** — full per-phase, per-rank [`Counters`] equality:
+///   without relaying, what a PE sends is a function of its local state.
+/// * **Grid routing** — relayed message *counts* depend on which envelopes
+///   share a proxy flush, and visitor-driven protocols process arrivals in
+///   whatever phase they land in, so only the per-rank *run totals* of
+///   words, local work and collective charges must agree.
 fn assert_stats_equiv(label: &str, routing: Routing, plain: &RunStats, prof: &RunStats) {
     assert_eq!(plain.p, prof.p, "{label}: rank count");
     assert_eq!(
@@ -89,8 +87,8 @@ fn assert_stats_equiv(label: &str, routing: Routing, plain: &RunStats, prof: &Ru
     }
 }
 
-/// Profiling on vs off: all seven variants over p ∈ {1, 4, 9} on the
-/// threads backend count identically and keep their modeled meters
+/// Profiling on vs off: all seven variants over p ∈ {1, 4, 9} count
+/// identically and keep their modeled meters
 /// bit-identical (tiered per routing) — and the profiled run actually
 /// carries contention meters.
 #[test]
@@ -106,7 +104,7 @@ fn profiling_does_not_perturb_any_variant() {
                 DistGraph::new_balanced_vertices(&g, p),
                 alg,
                 &cfg,
-                &threads_opts(),
+                &SimOptions::default(),
                 None,
             )
             .unwrap_or_else(|e| panic!("{label} (plain) failed: {e}"))
@@ -115,7 +113,7 @@ fn profiling_does_not_perturb_any_variant() {
                 DistGraph::new_balanced_vertices(&g, p),
                 alg,
                 &cfg,
-                &profiled_opts(),
+                &SimOptions::wall_profiled(),
                 None,
             )
             .unwrap_or_else(|e| panic!("{label} (profiled) failed: {e}"))
@@ -156,11 +154,11 @@ fn wall_timeline_matches_flows() {
         DistGraph::new_balanced_vertices(&g, 4),
         alg,
         &alg.config(),
-        &profiled_opts(),
+        &SimOptions::wall_profiled(),
         None,
     )
     .expect("profiled run");
-    let wall = wall.expect("threads + wall_profile must yield a profile");
+    let wall = wall.expect("wall_profile must yield a profile");
     assert_eq!(wall.events_dropped(), 0, "default ring must not overflow");
     let t = WallTimeline::build(&wall);
     assert_eq!(t.p, 4);
@@ -203,7 +201,7 @@ fn ring_overflow_drops_events_never_stalls() {
     let opts = SimOptions {
         wall_profile: true,
         wall_ring_capacity: 4,
-        ..SimOptions::on(TransportKind::Threads)
+        ..SimOptions::default()
     };
     let CountRun {
         result: r, wall, ..
@@ -232,7 +230,7 @@ fn ring_overflow_drops_events_never_stalls() {
         DistGraph::new_balanced_vertices(&g, 4),
         alg,
         &alg.config(),
-        &threads_opts(),
+        &SimOptions::default(),
         None,
     )
     .expect("plain run")
