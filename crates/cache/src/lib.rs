@@ -46,6 +46,7 @@
 
 #![warn(missing_docs)]
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 
 /// Which derived form of an adjacency list an entry caches.
@@ -83,15 +84,6 @@ impl CacheKey {
     }
 }
 
-/// Eviction policy for a partition.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Eviction {
-    /// Least-recently-used: references refresh recency (default).
-    Lru,
-    /// First-in-first-out: recency is fixed at admission.
-    Fifo,
-}
-
 /// Cache configuration, carried on `DistConfig` (and therefore `Copy`).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CacheConfig {
@@ -103,11 +95,6 @@ pub struct CacheConfig {
     /// per-(owner, holder) partition budgets so the sender-side mirror and
     /// the receiver-side store can run identical eviction independently.
     pub budget_words: u64,
-    /// Eviction policy (applies to every partition).
-    pub policy: Eviction,
-    /// Patch clean [`ListKind::Full`] entries in place on update instead of
-    /// invalidating them.
-    pub patch: bool,
     /// Emit and apply coherence traffic on `update_route`.  Disabling this
     /// is a *mutation knob for tests only*: caches go stale and cached
     /// counts diverge — the verify bit-equality harness must catch it.
@@ -119,8 +106,6 @@ impl Default for CacheConfig {
         CacheConfig {
             enabled: false,
             budget_words: 1 << 22,
-            policy: Eviction::Lru,
-            patch: true,
             coherence: true,
         }
     }
@@ -133,15 +118,6 @@ impl CacheConfig {
             enabled: true,
             budget_words,
             ..CacheConfig::default()
-        }
-    }
-
-    /// The budget actually honored once the §IV-A memory bound is applied:
-    /// the cache may never claim more words than the per-PE memory limit.
-    pub fn effective_budget(&self, memory_limit_words: Option<u64>) -> u64 {
-        match memory_limit_words {
-            Some(limit) => self.budget_words.min(limit),
-            None => self.budget_words,
         }
     }
 }
@@ -173,12 +149,12 @@ struct Partition {
 }
 
 impl Partition {
-    fn touch(&mut self, key: &CacheKey, policy: Eviction) {
+    /// LRU recency refresh: a reference moves the entry to the back of the
+    /// eviction order.
+    fn touch(&mut self, key: &CacheKey) {
         if let Some(e) = self.entries.get_mut(key) {
-            if policy == Eviction::Lru {
-                e.last_touch = self.clock;
-                self.clock += 1;
-            }
+            e.last_touch = self.clock;
+            self.clock += 1;
         }
     }
 
@@ -237,33 +213,24 @@ impl Partition {
 /// plus mirror partitions (what each holder keeps of our lists).
 #[derive(Debug, Clone)]
 pub struct RankCache {
-    cfg: CacheConfig,
     partition_budget: u64,
     generation: u64,
     held: BTreeMap<usize, Partition>,
     mirror: BTreeMap<usize, Partition>,
-    evictions: u64,
 }
 
 impl RankCache {
     /// A cache for one of `num_ranks` PEs.  `memory_limit_words` is the
-    /// §IV-A per-PE memory bound, if configured; the cache budget is capped
-    /// by it.
+    /// §IV-A per-PE memory bound, if configured; the cache may never claim
+    /// more words than it.
     pub fn new(cfg: CacheConfig, num_ranks: usize, memory_limit_words: Option<u64>) -> Self {
-        let budget = cfg.effective_budget(memory_limit_words);
+        let budget = cfg.budget_words.min(memory_limit_words.unwrap_or(u64::MAX));
         RankCache {
-            cfg,
             partition_budget: budget / num_ranks.max(1) as u64,
             generation: 0,
             held: BTreeMap::new(),
             mirror: BTreeMap::new(),
-            evictions: 0,
         }
-    }
-
-    /// The configuration this cache was built with.
-    pub fn config(&self) -> &CacheConfig {
-        &self.cfg
     }
 
     /// The per-(owner, holder) partition budget in words.
@@ -390,10 +357,8 @@ impl RankCache {
         let mut touches = log.touches.clone();
         touches.sort_unstable();
         touches.dedup();
-        let policy = self.cfg.policy;
         for (peer, key) in &touches {
-            let part = self.partition_mut(*peer);
-            part.touch(key, policy);
+            self.partition_mut(*peer).touch(key);
         }
         let mut order: Vec<usize> = (0..log.inserts.len()).collect();
         order.sort_unstable_by_key(|&i| (log.inserts[i].peer, log.inserts[i].key));
@@ -409,7 +374,6 @@ impl RankCache {
                 held_evictions += evicted;
             }
         }
-        self.evictions += held_evictions;
         held_evictions
     }
 
@@ -428,11 +392,6 @@ impl RankCache {
     /// Words of held list data currently resident.
     pub fn resident_words(&self) -> u64 {
         self.held.values().map(|p| p.used_words).sum()
-    }
-
-    /// Cumulative held-side evictions since construction.
-    pub fn total_evictions(&self) -> u64 {
-        self.evictions
     }
 
     /// Drop everything (used when a run is abandoned and the log is lost —
@@ -518,6 +477,16 @@ impl CacheReport {
     }
 }
 
+/// Where a shipped list's length is known from (see
+/// [`CacheSession::encode`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Frame {
+    /// The list runs to the end of the message.
+    Tail,
+    /// The list carries its length, so records can be packed back to back.
+    Counted,
+}
+
 /// Which state a delta count pass runs against.  The deletion pass streams
 /// *pre-state* lists while cached `Full` entries are already patched to the
 /// post-state, so it must neither reference nor stage.
@@ -554,12 +523,12 @@ pub struct CacheRunOutcome {
 
 /// A rank program's handle on the cache for one run.
 ///
-/// Protocol code calls [`sender_check`](CacheSession::sender_check) before
-/// posting a list, [`recv_full`](CacheSession::recv_full) /
-/// [`recv_ref`](CacheSession::recv_ref) in receive handlers, and the caller
-/// finishes the session after the run.  With an [`off`](CacheSession::off)
-/// session every method is a cheap no-op and the wire formats are the
-/// original ones, bit-identical to a build without this crate.
+/// Protocol code writes every shipped list with
+/// [`encode`](CacheSession::encode), reads it back with
+/// [`decode`](CacheSession::decode), and the caller finishes the session
+/// after the run.  With an [`off`](CacheSession::off) session every method
+/// is a cheap no-op and the wire formats are the original ones,
+/// bit-identical to a build without this crate.
 pub struct CacheSession<'a> {
     handle: Handle<'a>,
     pass: CachePass,
@@ -630,10 +599,76 @@ impl<'a> CacheSession<'a> {
         }
     }
 
-    /// Sender side: may a reference be sent to `holder` instead of the
-    /// `words`-long list for `(kind, v)`?  Meters shipped/saved words in
-    /// every mode and stages the mirror bookkeeping when active.
-    pub fn sender_check(&mut self, holder: usize, kind: ListKind, v: u64, words: u64) -> bool {
+    /// Sender side: appends the `(kind, v)` list bound for `holder` to
+    /// `buf` as one frame.  `L` is `list`, `|L|` its length:
+    ///
+    /// | session            | [`Frame::Tail`] | [`Frame::Counted`] |
+    /// |--------------------|-----------------|--------------------|
+    /// | off, metered       | `L…`            | `\|L\|, L…`        |
+    /// | read/write, miss   | `0, L…`         | `0, \|L\|, L…`     |
+    /// | read/write, hit    | `1`             | `1`                |
+    ///
+    /// The leading word is the reference flag: `1` means the holder
+    /// resolves the list from its cache.  Off and metered sessions write
+    /// the bare list, so the protocols keep their original wire formats.
+    /// Shipped and saved words are metered in every mode.  The per-protocol
+    /// message layouts around the frame are tabled in DESIGN.md §5i.
+    pub fn encode(
+        &mut self,
+        buf: &mut Vec<u64>,
+        holder: usize,
+        kind: ListKind,
+        v: u64,
+        list: &[u64],
+        frame: Frame,
+    ) {
+        if self.sender_check(holder, kind, v, list.len() as u64) {
+            buf.push(1);
+            return;
+        }
+        if self.active() {
+            buf.push(0);
+        }
+        if frame == Frame::Counted {
+            buf.push(list.len() as u64);
+        }
+        buf.extend_from_slice(list);
+    }
+
+    /// Receiver side: reads one frame written by
+    /// [`encode`](CacheSession::encode) off the front of `words` and
+    /// returns the `(kind, v)` list shipped by `owner`.  A reference
+    /// resolves against the held entry; a full list is staged for caching
+    /// (post-state passes of active sessions).  `words` is left just past
+    /// the frame.
+    pub fn decode<'p>(
+        &mut self,
+        owner: usize,
+        kind: ListKind,
+        v: u64,
+        frame: Frame,
+        words: &mut &'p [u64],
+    ) -> Cow<'p, [u64]> {
+        let w: &'p [u64] = words;
+        let active = self.active();
+        if active && w[0] == 1 {
+            *words = &w[1..];
+            return Cow::Owned(self.recv_ref(owner, kind, v));
+        }
+        let rest = &w[usize::from(active)..];
+        let (list, after) = match frame {
+            Frame::Tail => rest.split_at(rest.len()),
+            Frame::Counted => rest[1..].split_at(rest[0] as usize),
+        };
+        *words = after;
+        self.recv_full(owner, kind, v, list);
+        Cow::Borrowed(list)
+    }
+
+    /// May a reference be sent to `holder` instead of the `words`-long list
+    /// for `(kind, v)`?  Meters shipped/saved words in every mode and
+    /// stages the mirror bookkeeping when active.
+    fn sender_check(&mut self, holder: usize, kind: ListKind, v: u64, words: u64) -> bool {
         if !self.active() || self.pass == CachePass::Pre {
             self.report.words_shipped += words;
             return false;
@@ -663,9 +698,9 @@ impl<'a> CacheSession<'a> {
         }
     }
 
-    /// Receiver side: a full list arrived from `owner`; stage it (post-state
-    /// passes of active sessions only).
-    pub fn recv_full(&mut self, owner: usize, kind: ListKind, v: u64, list: &[u64]) {
+    /// A full list arrived from `owner`; stage it (post-state passes of
+    /// active sessions only).
+    fn recv_full(&mut self, owner: usize, kind: ListKind, v: u64, list: &[u64]) {
         if !self.active() || self.pass == CachePass::Pre {
             return;
         }
@@ -678,10 +713,10 @@ impl<'a> CacheSession<'a> {
         });
     }
 
-    /// Receiver side: a reference arrived from `owner`; resolve it against
-    /// the committed snapshot.  A miss here is a coherence-protocol bug —
-    /// the owner's mirror promised the entry — so it panics loudly.
-    pub fn recv_ref(&mut self, owner: usize, kind: ListKind, v: u64) -> Vec<u64> {
+    /// A reference arrived from `owner`; resolve it against the committed
+    /// snapshot.  A miss here is a coherence-protocol bug — the owner's
+    /// mirror promised the entry — so it panics loudly.
+    fn recv_ref(&mut self, owner: usize, kind: ListKind, v: u64) -> Vec<u64> {
         let key = CacheKey::new(kind, v);
         let data = self
             .cache()
@@ -861,28 +896,22 @@ mod tests {
     }
 
     #[test]
-    fn lru_touch_protects_entries_fifo_does_not() {
-        for (policy, survivor) in [(Eviction::Lru, 1), (Eviction::Fifo, 2)] {
-            let mut config = cfg(40); // partition budget 20 with 2 ranks
-            config.policy = policy;
-            let mut c = RankCache::new(config, 2, None);
-            c.commit(&CacheRunLog {
-                touches: vec![],
-                inserts: vec![insert(Peer::Held(0), 1, 10), insert(Peer::Held(0), 2, 10)],
-            });
-            // Touch 1, then insert 3 (forces one eviction).
-            c.commit(&CacheRunLog {
-                touches: vec![(Peer::Held(0), CacheKey::new(ListKind::Contracted, 1))],
-                inserts: vec![insert(Peer::Held(0), 3, 10)],
-            });
-            let k = |v| CacheKey::new(ListKind::Contracted, v);
-            assert!(
-                c.held_lookup(0, &k(survivor)).is_some(),
-                "{policy:?}: {survivor} should survive"
-            );
-            assert!(c.held_lookup(0, &k(3)).is_some());
-            assert_eq!(c.held_entries(), 2);
-        }
+    fn lru_touch_protects_entries() {
+        let mut c = RankCache::new(cfg(40), 2, None); // partition budget 20
+        c.commit(&CacheRunLog {
+            touches: vec![],
+            inserts: vec![insert(Peer::Held(0), 1, 10), insert(Peer::Held(0), 2, 10)],
+        });
+        // Touch 1, then insert 3 (forces one eviction): the untouched 2 goes.
+        c.commit(&CacheRunLog {
+            touches: vec![(Peer::Held(0), CacheKey::new(ListKind::Contracted, 1))],
+            inserts: vec![insert(Peer::Held(0), 3, 10)],
+        });
+        let k = |v| CacheKey::new(ListKind::Contracted, v);
+        assert!(c.held_lookup(0, &k(1)).is_some());
+        assert!(c.held_lookup(0, &k(2)).is_none());
+        assert!(c.held_lookup(0, &k(3)).is_some());
+        assert_eq!(c.held_entries(), 2);
     }
 
     /// Replay the same traffic through an owner's mirror and a holder's
@@ -999,6 +1028,68 @@ mod tests {
         assert_eq!(out.report.words_shipped, 10);
         assert_eq!(out.report.staged, 0);
         assert!(out.log.is_empty());
+    }
+
+    /// One table over every session mode: an off or metered session writes
+    /// the original bare list, an active one a reference on a mirror hit
+    /// and the flagged full list on a miss, and `decode` returns the
+    /// shipped list either way, leaving the cursor just past the frame.
+    #[test]
+    fn encode_decode_round_trip_in_every_session_mode() {
+        fn open<'a>(mode: &str, cache: &'a mut RankCache) -> CacheSession<'a> {
+            match mode {
+                "off" => CacheSession::off(),
+                "metered" => CacheSession::metered(),
+                "read" => CacheSession::read(cache),
+                _ => CacheSession::write(cache, 0),
+            }
+        }
+        let hot: &[u64] = &[2, 4, 6];
+        let cold: &[u64] = &[1, 3];
+        // (mode, v, frame, frame words on the wire); holder 1 caches owner
+        // 0's (Contracted, 5) = `hot`, and nothing for v = 7 (`cold`).
+        let cases: &[(&str, u64, Frame, &[u64])] = &[
+            ("off", 5, Frame::Tail, &[2, 4, 6]),
+            ("off", 5, Frame::Counted, &[3, 2, 4, 6]),
+            ("metered", 5, Frame::Tail, &[2, 4, 6]),
+            ("metered", 7, Frame::Counted, &[2, 1, 3]),
+            ("read", 5, Frame::Tail, &[1]),
+            ("read", 5, Frame::Counted, &[1]),
+            ("read", 7, Frame::Tail, &[0, 1, 3]),
+            ("read", 7, Frame::Counted, &[0, 2, 1, 3]),
+            ("write", 5, Frame::Tail, &[1]),
+            ("write", 5, Frame::Counted, &[1]),
+            ("write", 7, Frame::Tail, &[0, 1, 3]),
+            ("write", 7, Frame::Counted, &[0, 2, 1, 3]),
+        ];
+        let warm = |peer| {
+            let mut cache = RankCache::new(cfg(100), 2, None);
+            cache.commit(&CacheRunLog {
+                touches: vec![],
+                inserts: vec![StagedInsert {
+                    peer,
+                    key: CacheKey::new(ListKind::Contracted, 5),
+                    words: 3,
+                    data: matches!(peer, Peer::Held(_)).then(|| hot.to_vec()),
+                }],
+            });
+            cache
+        };
+        for &(mode, v, frame, wire) in cases {
+            let list = if v == 5 { hot } else { cold };
+            let (mut owner, mut holder) = (warm(Peer::Mirror(1)), warm(Peer::Held(0)));
+            let mut buf = vec![99]; // a protocol header word
+            open(mode, &mut owner).encode(&mut buf, 1, ListKind::Contracted, v, list, frame);
+            assert_eq!(&buf[1..], wire, "{mode} v={v} {frame:?}");
+            if frame == Frame::Counted {
+                buf.push(42); // the next packed record
+            }
+            let mut words = &buf[1..];
+            let got = open(mode, &mut holder).decode(0, ListKind::Contracted, v, frame, &mut words);
+            assert_eq!(&*got, list, "{mode} v={v} {frame:?}");
+            let rest: &[u64] = if frame == Frame::Counted { &[42] } else { &[] };
+            assert_eq!(words, rest, "{mode} v={v} {frame:?}");
+        }
     }
 
     #[test]

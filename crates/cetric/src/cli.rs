@@ -216,7 +216,6 @@ fn apply_kernel_opts(
             return Err("--pool-workers must be at least 1".to_string());
         }
         config.kernels.pool_workers = workers;
-        config.kernels.chunking = workers > 1;
     }
     Ok(())
 }
@@ -312,10 +311,12 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
         opts.push((key.trim_start_matches('-').to_string(), val.to_string()));
         i += 2;
     }
+    // Every flag must be read by the verb; `read` records which were.
+    let read = std::cell::RefCell::new(vec![false; opts.len()]);
     let get = |k: &str| {
-        opts.iter()
-            .find(|(key, _)| key == k)
-            .map(|(_, v)| v.as_str())
+        let i = opts.iter().position(|(key, _)| key == k)?;
+        read.borrow_mut()[i] = true;
+        Some(opts[i].1.as_str())
     };
     let parse_u64 = |k: &str, default: u64| -> Result<u64, String> {
         get(k).map_or(Ok(default), |v| {
@@ -357,8 +358,11 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
         return Err(usage());
     };
 
-    let p = parse_u64("p", 4)? as usize;
-    match verb.as_str() {
+    let pes = || match parse_u64("p", 4)? {
+        0 => Err("--p must be at least 1".to_string()),
+        p => Ok(p as usize),
+    };
+    let cmd = match verb.as_str() {
         "generate" => {
             if matches!(source, Source::File(_)) {
                 return Err("generate needs --family or --dataset, not --input".to_string());
@@ -396,7 +400,7 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
             Ok(Command::Count {
                 source,
                 algorithm,
-                p,
+                p: pes()?,
                 model,
                 config,
                 timed: get("timed").is_some_and(|v| v == "true" || v == "1"),
@@ -406,19 +410,19 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
         }
         "lcc" => Ok(Command::Lcc {
             source,
-            p,
+            p: pes()?,
             top: parse_u64("top", 10)? as usize,
             cache_budget: parse_opt_u64("cache-budget")?,
         }),
         "enumerate" => Ok(Command::Enumerate {
             source,
-            p,
+            p: pes()?,
             limit: parse_u64("limit", 20)? as usize,
         }),
         "info" => Ok(Command::Info { source }),
         "serve" => Ok(Command::Serve {
             source,
-            p,
+            p: pes()?,
             queries: parse_u64("queries", 100)? as usize,
             seed: parse_u64("workload-seed", 42)?,
             json: get("json").is_some_and(|v| v == "true" || v == "1"),
@@ -430,7 +434,7 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
         }),
         "update" => Ok(Command::Update {
             source,
-            p,
+            p: pes()?,
             batch: get("batch")
                 .ok_or("update needs --batch FILE (`+ u v` / `- u v` lines)")?
                 .to_string(),
@@ -450,7 +454,7 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
             Ok(Command::Check {
                 source,
                 algorithm,
-                p,
+                p: pes()?,
                 lint_root,
             })
         }
@@ -474,7 +478,7 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
             Ok(Command::Profile {
                 source,
                 algorithm,
-                p,
+                p: pes()?,
                 model,
                 config,
                 chrome_trace: get("chrome-trace").map(|v| v.to_string()),
@@ -484,7 +488,15 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
             })
         }
         v => Err(format!("unknown command {v:?}\n{}", usage())),
+    }?;
+    if let Some(i) = read.borrow().iter().position(|&r| !r) {
+        return Err(format!(
+            "unknown or repeated flag --{} for {verb}\n{}",
+            opts[i].0,
+            usage()
+        ));
     }
+    Ok(cmd)
 }
 
 fn usage() -> String {
@@ -1181,6 +1193,23 @@ mod tests {
         assert!(parse(&args("generate --input x.txt -o y.txt")).is_err());
         assert!(parse(&args("count --family gnm --model dialup")).is_err());
         assert!(parse(&[]).is_err());
+        // zero PEs is an error, not a partitioning panic
+        for verb in ["count", "lcc", "serve", "enumerate", "profile"] {
+            let err = parse(&args(&format!("{verb} --family gnm --p 0"))).unwrap_err();
+            assert!(err.contains("--p must be at least 1"), "{verb}: {err}");
+        }
+        // a flag the verb does not read: a typo, a retired flag, a flag of
+        // another verb, a repeat
+        for line in [
+            "count --family gnm --pool-worker 4",
+            "count --family gnm --transport threads",
+            "info --family gnm --p 4",
+            "count --family gnm --queries 10",
+            "count --family gnm --p 2 --p 3",
+        ] {
+            let err = parse(&args(line)).unwrap_err();
+            assert!(err.contains("unknown or repeated flag --"), "{line}: {err}");
+        }
     }
 
     #[test]
@@ -1200,7 +1229,6 @@ mod tests {
             Command::Count { config, .. } => {
                 assert_eq!(config.kernels.kernel, KernelChoice::Gallop);
                 assert_eq!(config.kernels.pool_workers, 4);
-                assert!(config.kernels.chunking);
             }
             _ => panic!("wrong command"),
         }
@@ -1209,7 +1237,6 @@ mod tests {
         match cmd {
             Command::Count { config, .. } => {
                 assert_eq!(config.kernels.pool_workers, 1);
-                assert!(!config.kernels.chunking);
             }
             _ => panic!("wrong command"),
         }

@@ -8,13 +8,15 @@
 //! Type-1/2 triangles are still counted exactly (they never leave the PE).
 
 use tricount_amq::{truthful_estimate_unclamped, Amq, BloomFilter, SingleShotBloom};
-use tricount_comm::{run_sim, Ctx, Envelope, MessageQueue, QueueConfig, SimOptions};
-use tricount_graph::dist::{DistGraph, LocalGraph};
-use tricount_graph::intersect::merge_count;
+use tricount_comm::{run_sim, Ctx, Envelope, SimOptions};
+use tricount_graph::dist::{ContractedGraph, DistGraph, LocalGraph};
+use tricount_graph::kernels::KernelPolicy;
+use tricount_graph::VertexId;
 
 use crate::config::DistConfig;
-use crate::dist::phases;
+use crate::dist::exchange::{exchange, GlobalPhase};
 use crate::dist::residency::{prepare_rank, PreparedRank};
+use crate::dist::{cetric, phases};
 use crate::dist::{into_cells, take_local};
 use crate::result::ApproxResult;
 
@@ -61,6 +63,77 @@ pub struct ApproxRankOutput {
     pub type3_corrected: f64,
 }
 
+/// The filter words of an AMQ over `a`.
+fn sketch(acfg: &ApproxConfig, a: &[VertexId]) -> Vec<u64> {
+    fn fill(mut f: impl Amq, a: &[VertexId]) -> Vec<u64> {
+        a.iter().for_each(|&w| f.insert(w));
+        f.to_words()
+    }
+    match acfg.filter {
+        FilterKind::Bloom => fill(BloomFilter::new(a.len(), acfg.bits_per_key), a),
+        FilterKind::SingleShot => fill(SingleShotBloom::new(a.len(), acfg.bits_per_key, 4), a),
+    }
+}
+
+/// The sketched global phase: per destination PE `j`, the heads
+/// `A(v) ∩ V_j` go explicitly plus a sketch of the full contracted `A(v)`:
+/// `[tag, v, |heads|, heads…, filter words…]`.
+struct Global<'g> {
+    c: &'g ContractedGraph,
+    acfg: ApproxConfig,
+    /// The current source vertex and the filter words of its list, built
+    /// once per vertex (`VertexId::MAX` before the first).
+    sketch: (VertexId, Vec<u64>),
+    raw: u64,
+    /// Per-intersection corrections, collected (not summed on arrival) and
+    /// reduced in a canonical order at the end: f64 addition is not
+    /// associative, and message arrival order depends on the schedule — the
+    /// deferred sorted sum keeps the estimate bit-identical across
+    /// schedules (the property `check_schedule_independence` asserts).
+    corrected: Vec<f64>,
+}
+
+impl GlobalPhase for Global<'_> {
+    fn write(&mut self, buf: &mut Vec<u64>, v: VertexId, a: &[VertexId], _: usize, heads: &[u64]) {
+        if self.sketch.0 != v {
+            self.sketch = (v, sketch(&self.acfg, a));
+        }
+        let tag = match self.acfg.filter {
+            FilterKind::Bloom => TAG_BLOOM,
+            FilterKind::SingleShot => TAG_SINGLE_SHOT,
+        };
+        buf.extend_from_slice(&[tag, v, heads.len() as u64]);
+        buf.extend_from_slice(heads);
+        buf.extend_from_slice(&self.sketch.1);
+    }
+
+    fn receive(&mut self, ctx: &mut Ctx, env: Envelope<'_>) {
+        let tag = env.payload[0];
+        let nheads = env.payload[2] as usize;
+        let heads = &env.payload[3..3 + nheads];
+        let fwords = &env.payload[3 + nheads..];
+        let amq: Box<dyn Amq> = if tag == TAG_BLOOM {
+            Box::new(BloomFilter::from_words(fwords))
+        } else {
+            Box::new(SingleShotBloom::from_words(fwords))
+        };
+        let fpr = amq.false_positive_rate();
+        for &u in heads {
+            let au = self.c.a_of(u);
+            let mut pos = 0u64;
+            for &w in au {
+                ctx.add_work(1);
+                if amq.contains(w) {
+                    pos += 1;
+                }
+            }
+            self.raw += pos;
+            self.corrected
+                .push(truthful_estimate_unclamped(pos, au.len() as u64, fpr));
+        }
+    }
+}
+
 fn run_rank(
     ctx: &mut Ctx,
     lg: LocalGraph,
@@ -80,138 +153,34 @@ pub fn approx_prepared(
     cfg: &DistConfig,
     acfg: &ApproxConfig,
 ) -> ApproxRankOutput {
-    let o = &prep.oriented;
-
-    // exact local phase (identical to CETRIC's)
-    let mut exact_local = 0u64;
-    for v in o.owned_range() {
-        let av = o.a_owned(v);
-        for &u in av {
-            let au = o.a_of(u).expect("head must be owned or ghost");
-            let (c, ops) = merge_count(av, au);
-            exact_local += c;
-            ctx.add_work(ops + 1);
-        }
-    }
-    for gi in 0..o.ghost_ids().len() {
-        let av = o.a_ghost(gi);
-        for &u in av {
-            let (c, ops) = merge_count(av, o.a_owned(u));
-            exact_local += c;
-            ctx.add_work(ops + 1);
-        }
-    }
-    let contracted = &prep.contracted;
+    // exact local phase: CETRIC's, with the merge kernel
+    let (exact_local, _) = cetric::local_phase(ctx, prep, KernelPolicy::merge_only());
     ctx.end_phase(phases::LOCAL);
 
-    // approximate global phase: per destination PE j, send the heads
-    // A(v) ∩ V_j explicitly plus a sketch of the full contracted A(v):
-    // payload = [tag, v, |heads|, heads..., filter words...]
-    let delta = cfg.resolve_delta(prep.local.num_local_entries());
-    let mut q = MessageQueue::new(
-        ctx,
-        QueueConfig {
-            delta,
-            routing: cfg.routing,
-        },
-    );
-    let part = o.partition().clone();
-    let mut raw = 0u64;
-    // Per-intersection corrections are collected (not summed on arrival)
-    // and reduced in a canonical order below: f64 addition is not
-    // associative, and message arrival order depends on the schedule — the
-    // deferred sorted sum keeps the estimate bit-identical across
-    // schedules (the property `check_schedule_independence` asserts).
-    let mut corrected = Vec::<f64>::new();
-    let handler = |contracted: &tricount_graph::dist::ContractedGraph,
-                   ctx: &mut Ctx,
-                   env: Envelope<'_>,
-                   raw: &mut u64,
-                   corrected: &mut Vec<f64>| {
-        let tag = env.payload[0];
-        let nheads = env.payload[2] as usize;
-        let heads = &env.payload[3..3 + nheads];
-        let fwords = &env.payload[3 + nheads..];
-        enum AnyAmq {
-            B(BloomFilter),
-            S(SingleShotBloom),
-        }
-        let amq = if tag == TAG_BLOOM {
-            AnyAmq::B(BloomFilter::from_words(fwords))
-        } else {
-            AnyAmq::S(SingleShotBloom::from_words(fwords))
-        };
-        let (contains, fpr): (Box<dyn Fn(u64) -> bool>, f64) = match &amq {
-            AnyAmq::B(f) => (Box::new(move |k| f.contains(k)), f.false_positive_rate()),
-            AnyAmq::S(f) => (Box::new(move |k| f.contains(k)), f.false_positive_rate()),
-        };
-        for &u in heads {
-            let au = contracted.a_of(u);
-            let mut pos = 0u64;
-            for &w in au {
-                ctx.add_work(1);
-                if contains(w) {
-                    pos += 1;
-                }
-            }
-            *raw += pos;
-            corrected.push(truthful_estimate_unclamped(pos, au.len() as u64, fpr));
-        }
+    // approximate global phase
+    let c = &prep.contracted;
+    let mut global = Global {
+        c,
+        acfg: *acfg,
+        sketch: (VertexId::MAX, Vec::new()),
+        raw: 0,
+        corrected: Vec::new(),
     };
-
-    let mut scratch: Vec<u64> = Vec::new();
-    for (v, a) in contracted.nonempty() {
-        // build the sketch of A(v) once per vertex
-        let filter_words: Vec<u64> = match acfg.filter {
-            FilterKind::Bloom => {
-                let mut f = BloomFilter::new(a.len(), acfg.bits_per_key);
-                for &w in a {
-                    f.insert(w);
-                }
-                f.to_words()
-            }
-            FilterKind::SingleShot => {
-                let mut f = SingleShotBloom::new(a.len(), acfg.bits_per_key, 4);
-                for &w in a {
-                    f.insert(w);
-                }
-                f.to_words()
-            }
-        };
-        let tag = match acfg.filter {
-            FilterKind::Bloom => TAG_BLOOM,
-            FilterKind::SingleShot => TAG_SINGLE_SHOT,
-        };
-        // group heads by destination rank (contiguous in the sorted list)
-        let mut i = 0usize;
-        while i < a.len() {
-            let j = part.rank_of(a[i]);
-            let mut k = i + 1;
-            while k < a.len() && part.rank_of(a[k]) == j {
-                k += 1;
-            }
-            scratch.clear();
-            scratch.push(tag);
-            scratch.push(v);
-            scratch.push((k - i) as u64);
-            scratch.extend_from_slice(&a[i..k]);
-            scratch.extend_from_slice(&filter_words);
-            q.post(ctx, j, &scratch);
-            while q.poll(ctx, &mut |ctx, env| {
-                handler(contracted, ctx, env, &mut raw, &mut corrected)
-            }) {}
-            i = k;
-        }
-    }
-    q.finish(ctx, &mut |ctx, env| {
-        handler(contracted, ctx, env, &mut raw, &mut corrected)
-    });
+    exchange(
+        ctx,
+        cfg,
+        prep.local.num_local_entries(),
+        prep.oriented.partition(),
+        c.nonempty(),
+        &mut global,
+    );
     ctx.end_phase(phases::GLOBAL);
 
+    let mut corrected = global.corrected;
     corrected.sort_by(f64::total_cmp);
     ApproxRankOutput {
         exact_local,
-        type3_raw: raw,
+        type3_raw: global.raw,
         type3_corrected: corrected.iter().sum(),
     }
 }

@@ -47,7 +47,7 @@
 use std::collections::BTreeMap;
 use std::sync::Mutex;
 
-use tricount_cache::{CachePass, CacheSession, ListKind};
+use tricount_cache::{CachePass, CacheSession, Frame, ListKind};
 use tricount_comm::{
     run_sim, Ctx, Envelope, MessageQueue, QueueConfig, RunStats, SimOptions, Trace,
 };
@@ -97,10 +97,10 @@ pub struct DeltaOutcome {
 /// `session` is the adjacency cache's single *writer*: after the
 /// effectiveness filter of `update_route`, each owner looks its touched
 /// vertices up in its mirror partitions and sends every holder of a
-/// `(Full, v)` entry either a targeted invalidation or an in-place patch
-/// (the inserted/deleted neighbor ids) through one extra `alltoallv` inside
-/// the `update_route` phase — a patched entry equals the post-state merged
-/// list, so later reference sends stay bit-exact. The deletion count pass
+/// `(Full, v)` entry an in-place patch (the inserted/deleted neighbor ids)
+/// through one extra `alltoallv` inside the `update_route` phase — a
+/// patched entry equals the post-state merged list, so later reference
+/// sends stay bit-exact. The deletion count pass
 /// streams *pre-state* lists, so it runs with lookups and staging disabled
 /// ([`CachePass::Pre`]); the insertion pass runs post-state and
 /// participates fully. With [`CacheSession::off`] this *is* the original
@@ -195,13 +195,12 @@ pub fn apply_batch_rank(
     ctx.add_work(my_ops.len() as u64 + 1);
 
     // Coherence: the owners of the touched vertices tell every PE holding
-    // a cached `(Full, v)` list to invalidate or patch it, before any
-    // counting consumes cache state. Runs only with an active session, so
-    // cache-off meters are untouched.
+    // a cached `(Full, v)` list to patch it, before any counting consumes
+    // cache state. Runs only with an active session, so cache-off meters
+    // are untouched.
     if session.active() && cfg.cache.coherence {
         ctx.with_span("cache_coherence", |ctx| {
             let mut out: Vec<Vec<u64>> = vec![Vec::new(); p];
-            let patch = cfg.cache.patch;
             let empty: &[VertexId] = &[];
             let keys: std::collections::BTreeSet<VertexId> =
                 ins_nbrs.keys().chain(del_nbrs.keys()).copied().collect();
@@ -213,18 +212,13 @@ pub fn apply_batch_rank(
                 let ins = ins_nbrs.get(&v).map(|l| l.as_slice()).unwrap_or(empty);
                 let del = del_nbrs.get(&v).map(|l| l.as_slice()).unwrap_or(empty);
                 for j in holders {
-                    if patch {
-                        for &w in ins {
-                            out[j].extend_from_slice(&[v, 1, w]);
-                        }
-                        for &w in del {
-                            out[j].extend_from_slice(&[v, 2, w]);
-                        }
-                        session.mirror_patch(j, v, ins.len() as u64, del.len() as u64);
-                    } else {
-                        out[j].extend_from_slice(&[v, 0, 0]);
-                        session.mirror_invalidate(j, v);
+                    for &w in ins {
+                        out[j].extend_from_slice(&[v, 1, w]);
                     }
+                    for &w in del {
+                        out[j].extend_from_slice(&[v, 2, w]);
+                    }
+                    session.mirror_patch(j, v, ins.len() as u64, del.len() as u64);
                 }
             }
             let incoming = ctx.alltoallv(out);
@@ -356,45 +350,31 @@ fn count_pass(
     let mut q = MessageQueue::new(ctx, queue_cfg);
 
     // Remote request — answered against the receiver's merged N(v) and
-    // local B(v). Wire formats: `[u, v, |B(u)|, B(u)…, N(u)…]` with an off
-    // session; with an active one, `[u, v, 0, |B(u)|, B(u)…, N(u)…]` full
-    // sends or `[u, v, 1, |B(u)|, B(u)…]` references resolving the cached
-    // `(Full, u)` merged list (patched to the post-state by coherence).
+    // local B(v). Wire format: `[u, v, |B(u)|, B(u)…]` followed by the
+    // merged `N(u)` as a `(Full, u)` frame (DESIGN.md §5i); a reference
+    // resolves the cached list, patched to the post-state by coherence.
     let handler = |ctx: &mut Ctx,
                    env: Envelope<'_>,
                    acc: &mut u64,
                    d: &mut Dispatcher<'_>,
                    session: &mut CacheSession<'_>| {
-        let u = env.payload[0];
-        let v = env.payload[1];
-        let resolved: Vec<u64>;
-        let (bu, nu): (&[u64], &[u64]) = if session.active() {
-            let blen = env.payload[3] as usize;
-            let bu = &env.payload[4..4 + blen];
-            if env.payload[2] == 1 {
-                resolved = session.recv_ref(part.rank_of(u), ListKind::Full, u);
-                (bu, &resolved)
-            } else {
-                let nu = &env.payload[4 + blen..];
-                session.recv_full(part.rank_of(u), ListKind::Full, u, nu);
-                (bu, nu)
-            }
-        } else {
-            let blen = env.payload[2] as usize;
-            (&env.payload[3..3 + blen], &env.payload[3 + blen..])
-        };
+        let (u, v) = (env.payload[0], env.payload[1]);
+        let blen = env.payload[2] as usize;
+        let bu = &env.payload[3..3 + blen];
+        let frame = &mut &env.payload[3 + blen..];
+        let nu = session.decode(part.rank_of(u), ListKind::Full, u, Frame::Tail, frame);
         let bv = batch_nbrs.get(&v).map(|l| l.as_slice()).unwrap_or(&[]);
         let mut common = Vec::new();
         let ops = if ov.is_clean_at(v) {
             // N(v) is exactly the base slice — probe kernels are available.
-            d.collect(nu, None, lg.neighbors(v), None, &mut common)
+            d.collect(&nu, None, lg.neighbors(v), None, &mut common)
         } else {
             // Merged N(v) only streams; probe the stream into the shipped
             // slice (falls back to streaming merge when nu is the smaller).
             d.collect_iter(
                 ov.merged_neighbors(lg, v),
                 ov.degree_after(lg, v) as usize,
-                nu,
+                &nu,
                 None,
                 &mut common,
             )
@@ -405,6 +385,7 @@ fn count_pass(
     };
 
     let mut scratch: Vec<u64> = Vec::new();
+    let mut nu: Vec<VertexId> = Vec::new();
     let mut common: Vec<VertexId> = Vec::new();
     let empty: &[VertexId] = &[];
     for &(u, v) in tail_edges {
@@ -447,25 +428,11 @@ fn count_pass(
         } else {
             let j = part.rank_of(v);
             scratch.clear();
-            scratch.push(u);
-            scratch.push(v);
-            if session.active() {
-                if session.sender_check(j, ListKind::Full, u, ov.degree_after(lg, u)) {
-                    scratch.push(1);
-                    scratch.push(bu.len() as u64);
-                    scratch.extend_from_slice(bu);
-                } else {
-                    scratch.push(0);
-                    scratch.push(bu.len() as u64);
-                    scratch.extend_from_slice(bu);
-                    scratch.extend(ov.merged_neighbors(lg, u));
-                }
-            } else {
-                session.sender_check(j, ListKind::Full, u, ov.degree_after(lg, u));
-                scratch.push(bu.len() as u64);
-                scratch.extend_from_slice(bu);
-                scratch.extend(ov.merged_neighbors(lg, u));
-            }
+            scratch.extend_from_slice(&[u, v, bu.len() as u64]);
+            scratch.extend_from_slice(bu);
+            nu.clear();
+            nu.extend(ov.merged_neighbors(lg, u));
+            session.encode(&mut scratch, j, ListKind::Full, u, &nu, Frame::Tail);
             q.post(ctx, j, &scratch);
             while q.poll(ctx, &mut |ctx, env| {
                 handler(ctx, env, &mut count, disp, session)

@@ -4,14 +4,17 @@
 //! every rank emits the triangles it discovers; since discovery is unique,
 //! the union over ranks is the exact triangle set.
 
-use tricount_comm::{run_sim, Ctx, Envelope, MessageQueue, QueueConfig, SimOptions};
+use tricount_cache::CacheSession;
+use tricount_comm::{run_sim, Ctx, SimOptions};
 use tricount_graph::dist::{DistGraph, LocalGraph};
 use tricount_graph::intersect::merge_collect;
+use tricount_graph::kernels::{Dispatcher, KernelPolicy};
 use tricount_graph::VertexId;
 
 use crate::config::DistConfig;
-use crate::dist::phases;
-use crate::dist::{into_cells, preprocess, take_local};
+use crate::dist::exchange::exchange;
+use crate::dist::lcc::TrianglePhase;
+use crate::dist::{into_cells, local, phases, preprocess, take_local};
 
 /// A triangle as an id-sorted triple.
 pub type Triangle = (VertexId, VertexId, VertexId);
@@ -30,82 +33,47 @@ fn run_rank(ctx: &mut Ctx, mut lg: LocalGraph, cfg: &DistConfig) -> Vec<Triangle
     let o = lg.orient(cfg.ordering, true);
     ctx.end_phase(phases::PREPROCESSING);
 
-    let mut out: Vec<Triangle> = Vec::new();
-    let mut commons: Vec<VertexId> = Vec::new();
     // local phase: type-1/2 triangles
-    for v in o.owned_range() {
-        let av = o.a_owned(v);
-        for &u in av {
-            let au = o.a_of(u).expect("head must be owned or ghost");
-            commons.clear();
-            let ops = merge_collect(av, au, &mut commons);
-            ctx.add_work(ops + 1);
-            out.extend(commons.iter().map(|&w| sorted(v, u, w)));
-        }
-    }
-    for gi in 0..o.ghost_ids().len() {
-        let gv = o.ghost_ids()[gi];
-        let av = o.a_ghost(gi);
-        for &u in av {
-            commons.clear();
-            let ops = merge_collect(av, o.a_owned(u), &mut commons);
-            ctx.add_work(ops + 1);
-            out.extend(commons.iter().map(|&w| sorted(gv, u, w)));
-        }
-    }
+    let (n, item) = local::expanded_items(&o);
+    let states = local::run(
+        ctx,
+        cfg.kernels.pool_workers,
+        n,
+        item,
+        || (Vec::new(), Vec::new()),
+        |(out, commons), v, av| {
+            let mut work = 0u64;
+            for &u in av {
+                let au = o.a_of(u).expect("head must be owned or ghost");
+                commons.clear();
+                work += merge_collect(av, au, commons) + 1;
+                out.extend(commons.iter().map(|&w| sorted(v, u, w)));
+            }
+            work
+        },
+    );
+    let mut out: Vec<Triangle> = states.into_iter().flat_map(|(out, _)| out).collect();
     let contracted = o.contracted();
     ctx.end_phase(phases::LOCAL);
 
-    // global phase: type-3 triangles
-    let delta = cfg.resolve_delta(lg.num_local_entries());
-    let mut q = MessageQueue::new(
-        ctx,
-        QueueConfig {
-            delta,
-            routing: cfg.routing,
-        },
-    );
-    let part = o.partition().clone();
-    let owned = o.owned_range();
-    let handler = |contracted: &tricount_graph::dist::ContractedGraph,
-                   owned: &std::ops::Range<u64>,
-                   ctx: &mut Ctx,
-                   env: Envelope<'_>,
-                   out: &mut Vec<Triangle>,
-                   commons: &mut Vec<VertexId>| {
-        let v = env.payload[0];
-        let a = &env.payload[1..];
-        for &u in a {
-            if owned.contains(&u) {
-                commons.clear();
-                let ops = merge_collect(a, contracted.a_of(u), commons);
-                ctx.add_work(ops + 1);
-                out.extend(commons.iter().map(|&w| sorted(v, u, w)));
-            }
-        }
+    // global phase: type-3 triangles, LCC's protocol with the merge kernel
+    // and no cache
+    let mut global = TrianglePhase {
+        o: &o,
+        c: &contracted,
+        d: Dispatcher::new(KernelPolicy::merge_only()),
+        session: &mut CacheSession::off(),
+        found: |v, u, commons: &[VertexId]| out.extend(commons.iter().map(|&w| sorted(v, u, w))),
+        commons: Vec::new(),
     };
-    let mut scratch: Vec<u64> = Vec::new();
-    let mut commons2: Vec<VertexId> = Vec::new();
-    for (v, a) in contracted.nonempty() {
-        let mut last_rank: Option<usize> = None;
-        for &u in a {
-            let j = part.rank_of(u);
-            if last_rank == Some(j) {
-                continue;
-            }
-            last_rank = Some(j);
-            scratch.clear();
-            scratch.push(v);
-            scratch.extend_from_slice(a);
-            q.post(ctx, j, &scratch);
-            while q.poll(ctx, &mut |ctx, env| {
-                handler(&contracted, &owned, ctx, env, &mut out, &mut commons2)
-            }) {}
-        }
-    }
-    q.finish(ctx, &mut |ctx, env| {
-        handler(&contracted, &owned, ctx, env, &mut out, &mut commons2)
-    });
+    exchange(
+        ctx,
+        cfg,
+        lg.num_local_entries(),
+        o.partition(),
+        contracted.nonempty(),
+        &mut global,
+    );
     ctx.end_phase(phases::GLOBAL);
     out
 }

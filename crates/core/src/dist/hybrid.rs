@@ -12,14 +12,16 @@
 //! (the modeled parallel makespan), so modeled times reflect `t`-way
 //! parallel execution on the single-core host.
 
-use tricount_comm::{run_sim, Ctx, Envelope, MessageQueue, QueueConfig, SimOptions};
+use tricount_cache::CacheSession;
+use tricount_comm::{run_sim, Ctx, SimOptions};
 use tricount_graph::dist::{DistGraph, LocalGraph};
 use tricount_graph::intersect::merge_count;
+use tricount_graph::kernels::KernelPolicy;
 use tricount_graph::VertexId;
 use tricount_par::Pool;
 
 use crate::config::DistConfig;
-use crate::dist::phases;
+use crate::dist::{ditric, phases};
 use crate::dist::{into_cells, preprocess, take_local};
 use crate::result::CountResult;
 
@@ -65,55 +67,16 @@ pub fn run_rank(ctx: &mut Ctx, mut lg: LocalGraph, cfg: &DistConfig, threads: us
     ctx.add_work(worker_ops.iter().copied().max().unwrap_or(0));
     ctx.end_phase(phases::LOCAL);
 
-    // Funneled global phase — identical to single-threaded DITRIC.
-    let delta = cfg.resolve_delta(lg.num_local_entries());
-    let mut q = MessageQueue::new(
-        ctx,
-        QueueConfig {
-            delta,
-            routing: cfg.routing,
-        },
-    );
-    let part = o.partition().clone();
-    let mut remote_count = 0u64;
-    let handler = |o: &tricount_graph::dist::OrientedLocalGraph,
-                   ctx: &mut Ctx,
-                   env: Envelope<'_>,
-                   acc: &mut u64| {
-        let a = &env.payload[1..];
-        for &u in a {
-            if o.is_owned(u) {
-                let (c, ops) = merge_count(a, o.a_owned(u));
-                *acc += c;
-                ctx.add_work(ops + 1);
-            }
-        }
+    // Funneled global phase — single-threaded DITRIC's, with the merge
+    // kernel the local phase uses and surrogate deduplication.
+    let global_cfg = DistConfig {
+        kernels: KernelPolicy::merge_only(),
+        dedup: true,
+        ..*cfg
     };
-    let mut scratch: Vec<u64> = Vec::new();
-    for v in o.owned_range() {
-        let av = o.a_owned(v);
-        let mut last_rank: Option<usize> = None;
-        for &u in av {
-            if o.is_owned(u) {
-                continue;
-            }
-            let j = part.rank_of(u);
-            if last_rank == Some(j) {
-                continue;
-            }
-            last_rank = Some(j);
-            scratch.clear();
-            scratch.push(v);
-            scratch.extend_from_slice(av);
-            q.post(ctx, j, &scratch);
-            while q.poll(ctx, &mut |ctx, env| {
-                handler(&o, ctx, env, &mut remote_count)
-            }) {}
-        }
-    }
-    q.finish(ctx, &mut |ctx, env| {
-        handler(&o, ctx, env, &mut remote_count)
-    });
+    let entries = lg.num_local_entries();
+    let (remote_count, _) =
+        ditric::global_phase(ctx, &o, entries, &global_cfg, &mut CacheSession::off());
     let total = ctx.allreduce_sum(&[local_count + remote_count])[0];
     ctx.end_phase(phases::GLOBAL);
     total

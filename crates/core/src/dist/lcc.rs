@@ -11,25 +11,25 @@
 //! ([`lcc_prepared`]), so the resident query engine can serve LCC queries
 //! from state prepared once.
 //!
-//! Intersections go through the adaptive kernel dispatcher; the local phase
-//! optionally runs degree-aware chunked on the `par` pool, each chunk
+//! Intersections go through the adaptive kernel dispatcher. The local
+//! phase runs on the shared driver ([`local::run`]), each chunk
 //! accumulating its own `Δ` vectors which are summed element-wise in
-//! canonical chunk order (u64 addition — bit-identical to sequential).
+//! canonical chunk order (u64 addition — bit-identical to sequential); the
+//! global phase runs on the shared exchange ([`exchange`]).
 
 use std::sync::Mutex;
 
-use tricount_cache::{CacheReport, CacheSession, ListKind, RankCache};
-use tricount_comm::{run_sim, Ctx, Envelope, MessageQueue, QueueConfig, SimOptions};
-use tricount_graph::dist::{DistGraph, OrientedLocalGraph};
-use tricount_graph::kernels::{balanced_chunks, Dispatcher, KernelCounters};
+use tricount_cache::{CacheReport, CacheSession, Frame, ListKind, RankCache};
+use tricount_comm::{run_sim, Ctx, Envelope, SimOptions};
+use tricount_graph::dist::{ContractedGraph, DistGraph, OrientedLocalGraph};
+use tricount_graph::kernels::Dispatcher;
 use tricount_graph::VertexId;
-use tricount_par::Pool;
 
 use crate::config::DistConfig;
 use crate::dist::dispatch::DispatchReport;
-use crate::dist::phases;
+use crate::dist::exchange::{exchange, GlobalPhase};
 use crate::dist::residency::{prepare_rank, PreparedRank};
-use crate::dist::{into_cells, take_local, with_session};
+use crate::dist::{into_cells, local, phases, take_local, with_session};
 use crate::result::LccResult;
 
 /// Per-rank Δ accumulator over owned and ghost vertices.
@@ -63,6 +63,15 @@ impl DeltaAcc {
         }
     }
 
+    /// Bumps all three corners of each triangle `(v, u, w)`, `w ∈ commons`.
+    fn bump_triangles(&mut self, v: VertexId, u: VertexId, commons: &[VertexId]) {
+        for &w in commons {
+            self.bump(v);
+            self.bump(u);
+            self.bump(w);
+        }
+    }
+
     /// Element-wise sum of another accumulator over the same vertex sets.
     fn absorb(&mut self, other: &DeltaAcc) {
         for (a, b) in self.owned.iter_mut().zip(&other.owned) {
@@ -74,31 +83,47 @@ impl DeltaAcc {
     }
 }
 
-/// One local-phase item: enumerate the triangles closing each directed edge
-/// out of `v` and bump all three corners. Returns the metered work. Shared
-/// by the sequential and chunked drivers.
-#[inline]
-fn lcc_local_item(
-    o: &OrientedLocalGraph,
-    v: VertexId,
-    av: &[VertexId],
-    acc: &mut DeltaAcc,
-    commons: &mut Vec<VertexId>,
-    d: &mut Dispatcher<'_>,
-) -> u64 {
-    let mut work = 0u64;
-    for &u in av {
-        let au = o.a_of(u).expect("head must be owned or ghost");
-        commons.clear();
-        let ops = d.collect(av, Some(v), au, Some(u), commons);
-        work += ops + 1;
-        for &w in commons.iter() {
-            acc.bump(v);
-            acc.bump(u);
-            acc.bump(w);
+/// The enumerating side of the global phase — LCC's, which triangle
+/// enumeration shares. Ships the same [`ListKind::Contracted`] frames as
+/// CETRIC's (DESIGN.md §5i) and hands every type-3 triangle `(v, u, w)`,
+/// `w ∈ commons`, to `found` (`v` and `w` are ghosts of the receiving PE).
+pub(crate) struct TrianglePhase<'g, 'h, 's, 'c, F> {
+    pub(crate) o: &'g OrientedLocalGraph,
+    pub(crate) c: &'g ContractedGraph,
+    pub(crate) d: Dispatcher<'h>,
+    pub(crate) session: &'s mut CacheSession<'c>,
+    pub(crate) found: F,
+    pub(crate) commons: Vec<VertexId>,
+}
+
+impl<F> GlobalPhase for TrianglePhase<'_, '_, '_, '_, F>
+where
+    F: FnMut(VertexId, VertexId, &[VertexId]),
+{
+    fn write(&mut self, buf: &mut Vec<u64>, v: VertexId, a: &[VertexId], j: usize, _: &[u64]) {
+        buf.push(v);
+        self.session
+            .encode(buf, j, ListKind::Contracted, v, a, Frame::Tail);
+    }
+
+    fn receive(&mut self, ctx: &mut Ctx, env: Envelope<'_>) {
+        let v = env.payload[0];
+        let owner = self.o.partition().rank_of(v);
+        let frame = &mut &env.payload[1..];
+        let a = self
+            .session
+            .decode(owner, ListKind::Contracted, v, Frame::Tail, frame);
+        for &u in a.iter() {
+            if self.o.is_owned(u) {
+                self.commons.clear();
+                let ops = self
+                    .d
+                    .collect(&a, None, self.c.a_of(u), Some(u), &mut self.commons);
+                ctx.add_work(ops + 1);
+                (self.found)(v, u, &self.commons);
+            }
         }
     }
-    work
 }
 
 /// The per-vertex counting phases on already prepared per-rank state:
@@ -116,168 +141,65 @@ pub fn lcc_prepared(
     session: &mut CacheSession<'_>,
 ) -> (Vec<u64>, DispatchReport) {
     let o = &prep.oriented;
-    let owned_range = o.owned_range();
-    let mut acc = DeltaAcc::for_oriented(o);
+    let policy = cfg.kernels;
 
     // Local phase: enumerate type-1/2 triangles, bump all three corners.
-    // Work list in canonical order: owned vertices, then ghosts.
-    let mut local_pairs: Vec<(VertexId, &[VertexId])> = Vec::new();
-    for v in owned_range.clone() {
-        local_pairs.push((v, o.a_owned(v)));
-    }
-    for gi in 0..o.ghost_ids().len() {
-        local_pairs.push((o.ghost_ids()[gi], o.a_ghost(gi)));
-    }
-    let policy = cfg.kernels;
-    let local_dispatch = if policy.chunking && policy.pool_workers > 1 && !local_pairs.is_empty() {
-        let weights: Vec<u64> = local_pairs.iter().map(|(_, av)| av.len() as u64).collect();
-        let ranges = balanced_chunks(&weights, policy.pool_workers.saturating_mul(4));
-        let pool = Pool::new(policy.pool_workers);
-        let results = pool.run_tasks(ranges, |_, (s, e)| {
-            let mut d = Dispatcher::with_hubs(policy, &prep.hubs_oriented);
-            let mut chunk_acc = DeltaAcc::for_oriented(o);
-            let mut commons: Vec<VertexId> = Vec::new();
-            let mut work = 0u64;
-            for &(v, av) in &local_pairs[s..e] {
-                work += lcc_local_item(o, v, av, &mut chunk_acc, &mut commons, &mut d);
-            }
-            (chunk_acc, work, d.counters())
-        });
-        // Canonical chunk-order reduction: element-wise u64 sums of the
-        // per-chunk Δ vectors are bit-identical to the sequential bumps.
-        let mut work = 0u64;
-        let mut counters = KernelCounters::default();
-        for r in results {
-            acc.absorb(&r.result.0);
-            work += r.result.1;
-            counters.absorb(&r.result.2);
-        }
-        ctx.add_work(work);
-        counters
-    } else {
-        let mut d = Dispatcher::with_hubs(policy, &prep.hubs_oriented);
-        let mut commons: Vec<VertexId> = Vec::new();
-        for &(v, av) in &local_pairs {
-            let work = lcc_local_item(o, v, av, &mut acc, &mut commons, &mut d);
-            ctx.add_work(work);
-        }
-        d.counters()
-    };
-    drop(local_pairs);
-    let contracted = &prep.contracted;
-    ctx.end_phase(phases::LOCAL);
-
-    // Global phase: type-3 triangles, again bumping all three corners
-    // (v and w are ghosts of the receiving PE).
-    let delta = cfg.resolve_delta(prep.local.num_local_entries());
-    let mut q = MessageQueue::new(
+    // Each chunk accumulates its own Δ vectors; their element-wise u64 sums
+    // in canonical chunk order are bit-identical to the sequential bumps.
+    let (n, item) = local::expanded_items(o);
+    let states = local::run(
         ctx,
-        QueueConfig {
-            delta,
-            routing: cfg.routing,
+        policy.pool_workers,
+        n,
+        item,
+        || {
+            let d = Dispatcher::with_hubs(policy, &prep.hubs_oriented);
+            (DeltaAcc::for_oriented(o), Vec::new(), d)
+        },
+        |(acc, commons, d), v, av| {
+            let mut work = 0u64;
+            for &u in av {
+                let au = o.a_of(u).expect("head must be owned or ghost");
+                commons.clear();
+                work += d.collect(av, Some(v), au, Some(u), commons) + 1;
+                acc.bump_triangles(v, u, commons);
+            }
+            work
         },
     );
-    let part = o.partition().clone();
-    let mut gd = Dispatcher::with_hubs(policy, &prep.hubs_contracted);
-    // Same wire formats as CETRIC's global phase ([`crate::dist::cetric`]):
-    // `[v, A(v)...]` when the session is off, `[v, 0, A(v)...]` /
-    // reference `[v, 1]` when active.
-    #[allow(clippy::too_many_arguments)]
-    fn handler(
-        acc: &mut DeltaAcc,
-        contracted: &tricount_graph::dist::ContractedGraph,
-        owned: &std::ops::Range<u64>,
-        part: &tricount_graph::Partition,
-        ctx: &mut Ctx,
-        env: Envelope<'_>,
-        commons: &mut Vec<VertexId>,
-        d: &mut Dispatcher<'_>,
-        session: &mut CacheSession<'_>,
-    ) {
-        let v = env.payload[0];
-        let resolved: Vec<u64>;
-        let a: &[u64] = if session.active() {
-            let owner = part.rank_of(v);
-            if env.payload[1] == 1 {
-                resolved = session.recv_ref(owner, ListKind::Contracted, v);
-                &resolved
-            } else {
-                let a = &env.payload[2..];
-                session.recv_full(owner, ListKind::Contracted, v, a);
-                a
-            }
-        } else {
-            &env.payload[1..]
-        };
-        for &u in a {
-            if owned.contains(&u) {
-                commons.clear();
-                let ops = d.collect(a, None, contracted.a_of(u), Some(u), commons);
-                ctx.add_work(ops + 1);
-                for &w in commons.iter() {
-                    acc.bump(v);
-                    acc.bump(u);
-                    acc.bump(w);
-                }
-            }
-        }
+    let mut states = states.into_iter();
+    let (mut acc, _, d) = states.next().expect("the driver returns a state");
+    let mut local_dispatch = d.counters();
+    for (chunk_acc, _, d) in states {
+        acc.absorb(&chunk_acc);
+        local_dispatch.absorb(&d.counters());
     }
-    let mut scratch: Vec<u64> = Vec::new();
-    let mut commons2: Vec<VertexId> = Vec::new();
-    for (v, a) in contracted.nonempty() {
-        let mut last_rank: Option<usize> = None;
-        for &u in a {
-            let j = part.rank_of(u);
-            if last_rank == Some(j) {
-                continue;
-            }
-            last_rank = Some(j);
-            scratch.clear();
-            scratch.push(v);
-            if session.active() {
-                if session.sender_check(j, ListKind::Contracted, v, a.len() as u64) {
-                    scratch.push(1);
-                } else {
-                    scratch.push(0);
-                    scratch.extend_from_slice(a);
-                }
-            } else {
-                session.sender_check(j, ListKind::Contracted, v, a.len() as u64);
-                scratch.extend_from_slice(a);
-            }
-            q.post(ctx, j, &scratch);
-            while q.poll(ctx, &mut |ctx, env| {
-                handler(
-                    &mut acc,
-                    contracted,
-                    &owned_range,
-                    &part,
-                    ctx,
-                    env,
-                    &mut commons2,
-                    &mut gd,
-                    session,
-                )
-            }) {}
-        }
-    }
-    q.finish(ctx, &mut |ctx, env| {
-        handler(
-            &mut acc,
-            contracted,
-            &owned_range,
-            &part,
-            ctx,
-            env,
-            &mut commons2,
-            &mut gd,
-            session,
-        )
-    });
+    ctx.end_phase(phases::LOCAL);
+
+    // Global phase: type-3 triangles, again bumping all three corners.
+    let c = &prep.contracted;
+    let mut global = TrianglePhase {
+        o,
+        c,
+        d: Dispatcher::with_hubs(policy, &prep.hubs_contracted),
+        session,
+        found: |v, u, commons: &[VertexId]| acc.bump_triangles(v, u, commons),
+        commons: Vec::new(),
+    };
+    exchange(
+        ctx,
+        cfg,
+        prep.local.num_local_entries(),
+        o.partition(),
+        c.nonempty(),
+        &mut global,
+    );
+    let global_dispatch = global.d.counters();
     ctx.end_phase(phases::GLOBAL);
 
     // Postprocessing: ship ghost Δ contributions to their owners
     // ([id, delta] pairs), analogous to the degree exchange.
+    let part = o.partition();
     let p = ctx.num_ranks();
     let mut outgoing: Vec<Vec<u64>> = vec![Vec::new(); p];
     for (gi, &g) in acc.ghost_ids.iter().enumerate() {
@@ -297,7 +219,7 @@ pub fn lcc_prepared(
     ctx.end_phase(phases::POSTPROCESS);
 
     let mut report = DispatchReport::of(phases::LOCAL, local_dispatch);
-    report.add(phases::GLOBAL, gd.counters());
+    report.add(phases::GLOBAL, global_dispatch);
     (acc.owned, report)
 }
 

@@ -8,8 +8,10 @@ pub mod delta;
 pub mod dispatch;
 pub mod ditric;
 pub mod enumerate;
+mod exchange;
 pub mod hybrid;
 pub mod lcc;
+mod local;
 pub mod matrix2d;
 pub mod phases;
 pub mod rebalance;

@@ -15,7 +15,7 @@
 use crate::config::DistConfig;
 use crate::dist::dispatch::DispatchReport;
 use crate::dist::phases;
-use tricount_cache::{CacheSession, ListKind};
+use tricount_cache::{CacheSession, Frame, ListKind};
 use tricount_comm::Ctx;
 use tricount_graph::dist::LocalGraph;
 use tricount_graph::kernels::Dispatcher;
@@ -35,11 +35,11 @@ use tricount_graph::VertexId;
 /// does not cover).
 ///
 /// `session` caches the shipped `N(a)` lists ([`ListKind::Full`] — kept
-/// coherent across updates by `update_route` patches). Wire formats: the
-/// original `[idx, b, |N(a)|, N(a)…]` record with [`CacheSession::off`];
-/// with an active session, `[idx, b, a, 0, |N(a)|, N(a)…]` full sends (the
-/// extra `a` keys the cache on the answering rank) or `[idx, b, a, 1]`
-/// references.
+/// coherent across updates by `update_route` patches). Each record is
+/// `[idx, b]` — plus `a`, which keys the cache, when the session is
+/// active — followed by `N(a)` as a counted frame (wire-format table in
+/// DESIGN.md §5i); with [`CacheSession::off`] that is the original
+/// `[idx, b, |N(a)|, N(a)…]` record.
 pub fn edge_support_rank(
     ctx: &mut Ctx,
     lg: &LocalGraph,
@@ -67,52 +67,27 @@ pub fn edge_support_rank(
             answered.push(c);
         } else {
             let dst = part.rank_of(b);
-            outgoing[dst].push(idx as u64);
-            outgoing[dst].push(b);
+            let out = &mut outgoing[dst];
+            out.push(idx as u64);
+            out.push(b);
             if session.active() {
-                outgoing[dst].push(a);
-                if session.sender_check(dst, ListKind::Full, a, na.len() as u64) {
-                    outgoing[dst].push(1);
-                } else {
-                    outgoing[dst].push(0);
-                    outgoing[dst].push(na.len() as u64);
-                    outgoing[dst].extend_from_slice(na);
-                }
-            } else {
-                session.sender_check(dst, ListKind::Full, a, na.len() as u64);
-                outgoing[dst].push(na.len() as u64);
-                outgoing[dst].extend_from_slice(na);
+                out.push(a);
             }
+            session.encode(out, dst, ListKind::Full, a, na, Frame::Counted);
         }
     }
 
     let incoming = ctx.alltoallv(outgoing);
+    let active = session.active();
     for (src, req) in incoming.iter().enumerate() {
-        let mut i = 0usize;
-        while i < req.len() {
-            let idx = req[i];
-            let b = req[i + 1];
-            let resolved: Vec<u64>;
-            let na: &[u64] = if session.active() {
-                let a = req[i + 2];
-                if req[i + 3] == 1 {
-                    i += 4;
-                    resolved = session.recv_ref(src, ListKind::Full, a);
-                    &resolved
-                } else {
-                    let len = req[i + 4] as usize;
-                    let na = &req[i + 5..i + 5 + len];
-                    i += 5 + len;
-                    session.recv_full(src, ListKind::Full, a, na);
-                    na
-                }
-            } else {
-                let len = req[i + 2] as usize;
-                let na = &req[i + 3..i + 3 + len];
-                i += 3 + len;
-                na
-            };
-            let (c, ops) = d.count(na, None, lg.neighbors(b), None);
+        let mut rest: &[u64] = req;
+        while !rest.is_empty() {
+            let (idx, b) = (rest[0], rest[1]);
+            // `a` travels only to key the cache; off sessions never read it.
+            let a = if active { rest[2] } else { 0 };
+            rest = &rest[2 + usize::from(active)..];
+            let na = session.decode(src, ListKind::Full, a, Frame::Counted, &mut rest);
+            let (c, ops) = d.count(&na, None, lg.neighbors(b), None);
             ctx.add_work(ops + 1);
             answered.push(idx);
             answered.push(c);
@@ -134,7 +109,7 @@ pub fn edge_support_rank(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Mutex;
+    use crate::dist::{into_cells, take_local};
     use tricount_comm::run;
     use tricount_graph::dist::DistGraph;
     use tricount_graph::intersect::merge_count;
@@ -161,16 +136,11 @@ mod tests {
             .collect();
 
         let p = 4;
-        let dg = DistGraph::new_balanced_vertices(&g, p);
-        let cells: Vec<Mutex<Option<LocalGraph>>> = dg
-            .into_locals()
-            .into_iter()
-            .map(|l| Mutex::new(Some(l)))
-            .collect();
+        let cells = into_cells(DistGraph::new_balanced_vertices(&g, p));
         let q = queries.clone();
         let cfg = DistConfig::default();
         let out = run(p, |ctx| {
-            let lg = cells[ctx.rank()].lock().unwrap().take().unwrap();
+            let lg = take_local(&cells, ctx.rank());
             edge_support_rank(ctx, &lg, &q, &cfg, &mut CacheSession::off()).0
         });
         for ranks_answer in &out.results {

@@ -51,4 +51,4 @@ pub mod seq;
 pub use config::{Aggregation, Algorithm, DistConfig};
 pub use dist::{count, count_with, run_count, CountRun};
 pub use result::{ApproxResult, CountResult, DistError, LccResult};
-pub use tricount_cache::{CacheConfig, CacheReport, CacheSession, Eviction, RankCache};
+pub use tricount_cache::{CacheConfig, CacheReport, CacheSession, RankCache};

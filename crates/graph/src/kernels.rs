@@ -9,7 +9,7 @@
 //!
 //! * [`KernelPolicy`] — the knob block threaded through `DistConfig`: forced
 //!   kernel or [`KernelChoice::Auto`], the hub-degree threshold, and the
-//!   intra-PE chunking/pool-width controls.
+//!   intra-PE pool width.
 //! * [`HubIndex`] — a per-PE index over high-degree adjacency lists, built
 //!   once at `PreparedRank` construction (and rebuilt on delta compaction,
 //!   which is what keeps it coherent — see DESIGN §5e).
@@ -83,10 +83,9 @@ pub struct KernelPolicy {
     /// Adjacency lists at least this long get a hub-index entry at
     /// `PreparedRank` construction.
     pub hub_threshold: u64,
-    /// Chunk per-PE counting loops and run them on the `par` pool. Off by
-    /// default; totals are bit-identical either way.
-    pub chunking: bool,
-    /// Worker threads for the intra-PE pool when `chunking` is on.
+    /// Worker threads for the intra-PE pool. Above 1 the local counting
+    /// phases run chunked on the `par` pool; totals are bit-identical
+    /// either way.
     pub pool_workers: usize,
 }
 
@@ -95,7 +94,6 @@ impl Default for KernelPolicy {
         Self {
             kernel: KernelChoice::Auto,
             hub_threshold: 256,
-            chunking: false,
             pool_workers: 1,
         }
     }
@@ -616,7 +614,6 @@ mod tests {
     fn policy_default_is_auto_sequential() {
         let p = KernelPolicy::default();
         assert_eq!(p.kernel, KernelChoice::Auto);
-        assert!(!p.chunking);
         assert_eq!(p.pool_workers, 1);
     }
 

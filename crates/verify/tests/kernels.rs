@@ -84,7 +84,6 @@ fn policy(kernel: KernelChoice, pool_workers: usize) -> KernelPolicy {
     KernelPolicy {
         kernel,
         hub_threshold: HUB_THRESHOLD,
-        chunking: pool_workers > 1,
         pool_workers,
     }
 }
